@@ -10,7 +10,7 @@
 //! `SPEC_BENCH_OUT`). Run it with:
 //!
 //! ```text
-//! cargo bench --bench corpus_scaling
+//! cargo bench -p spec-bench --bench corpus_scaling
 //! ```
 //!
 //! The 1017-report model is simulated **once**; every scale streams its
@@ -197,41 +197,51 @@ fn main() {
         owned_s / interned_s
     );
 
-    // Hand-rolled JSON: the vendored serde is a no-op marker crate.
-    let mut json = String::from("{\n  \"bench\": \"corpus_scaling\",\n");
-    json.push_str("  \"mode\": \"streaming\",\n");
-    json.push_str(&format!(
-        "  \"code_version\": \"{}\",\n",
-        spec_analysis::stage::CODE_VERSION
-    ));
-    json.push_str(&format!("  \"threads\": {},\n", tinypool::current_threads()));
-    json.push_str(&format!("  \"batch_reports\": {BATCH_REPORTS},\n"));
-    json.push_str(&format!(
-        "  \"max_resident_bytes\": {MAX_RESIDENT_BYTES},\n"
-    ));
-    json.push_str("  \"scales\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scale\": {}, \"reports\": {}, \"best_seconds\": {:.6}, \
-             \"reports_per_s\": {:.1}, \"peak_rss_kb\": {}, \
-             \"segments_spilled\": {}, \"spill_bytes\": {}}}{}\n",
-            r.scale,
-            r.reports,
-            r.best_seconds,
-            r.reports_per_s,
-            r.peak_rss_kb
-                .map_or("null".to_string(), |kb| kb.to_string()),
-            r.segments_spilled,
-            r.spill_bytes,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"parser\": {{\"owned_seconds\": {owned_s:.6}, \
-         \"interned_seconds\": {interned_s:.6}, \"speedup\": {:.3}}}\n}}\n",
-        owned_s / interned_s
-    ));
+    // Hand-rolled JSON (the vendored serde is a no-op marker crate),
+    // upserted field by field so the sections other benches own — e.g.
+    // `parse_micro` — survive a re-run.
+    let scales: Vec<String> = results
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"scale\": {}, \"reports\": {}, \"best_seconds\": {:.6}, \
+                 \"reports_per_s\": {:.1}, \"peak_rss_kb\": {}, \
+                 \"segments_spilled\": {}, \"spill_bytes\": {}}}",
+                r.scale,
+                r.reports,
+                r.best_seconds,
+                r.reports_per_s,
+                r.peak_rss_kb.map_or("null".to_string(), |kb| kb.to_string()),
+                r.segments_spilled,
+                r.spill_bytes,
+            )
+        })
+        .collect();
+    let fields = [
+        ("bench", "\"corpus_scaling\"".to_string()),
+        ("mode", "\"streaming\"".to_string()),
+        (
+            "code_version",
+            format!("\"{}\"", spec_analysis::stage::CODE_VERSION),
+        ),
+        ("threads", tinypool::current_threads().to_string()),
+        ("batch_reports", BATCH_REPORTS.to_string()),
+        ("max_resident_bytes", MAX_RESIDENT_BYTES.to_string()),
+        ("scales", format!("[\n{}\n  ]", scales.join(",\n"))),
+        (
+            "parser",
+            format!(
+                "{{\"owned_seconds\": {owned_s:.6}, \"interned_seconds\": {interned_s:.6}, \
+                 \"speedup\": {:.3}}}",
+                owned_s / interned_s
+            ),
+        ),
+    ];
     let path = out_path();
-    std::fs::write(&path, json).expect("write BENCH_ingest.json");
+    let mut doc = std::fs::read_to_string(&path).unwrap_or_default();
+    for (key, value) in &fields {
+        doc = spec_bench::upsert_json_section(&doc, key, value);
+    }
+    std::fs::write(&path, doc).expect("write BENCH_ingest.json");
     println!("wrote {}", path.display());
 }

@@ -77,17 +77,14 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use spec_analysis::stream::{SpillConfig, StreamConfig, StreamIngest};
+use spec_analysis::stream::{for_each_corpus_batch, SpillConfig, StreamConfig, StreamIngest};
 use spec_analysis::{
     ArtifactCache, CorpusSource, PipelineDriver, ServeConfig, Server, ShardSpec, SnapshotMode,
     StageId,
 };
 use spec_diag::TrendsError;
 use spec_ssj::Settings;
-use spec_synth::{
-    for_each_scaled_batch, generate_dataset, generate_dataset_scaled, write_dataset_to_dir,
-    SynthConfig,
-};
+use spec_synth::{generate_dataset_scaled, write_dataset_to_dir, SynthConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -419,33 +416,31 @@ fn run_ingest(args: &Args) -> spec_diag::Result<()> {
     };
     let mut ingest = StreamIngest::new(&config).map_err(|e| TrendsError::io("ingest", &e))?;
     let start = std::time::Instant::now();
-    let result = match &args.data {
+    let source = match &args.data {
         Some(dir) => {
             eprintln!("streaming report files from {}", dir.display());
-            let vfs = spec_vfs::default_vfs();
-            let paths = spec_analysis::list_report_files(vfs.as_ref(), dir)?;
-            paths.chunks(INGEST_BATCH_REPORTS).try_for_each(|chunk| {
-                // Slab-packed shared buffers: one arena per batch, shards
-                // borrow slices instead of holding per-file Strings.
-                let items = spec_analysis::read_inputs_shared(vfs.as_ref(), chunk);
-                ingest.push_input_batch(&items)
-            })
+            CorpusSource::Dir(dir.clone())
         }
         None => {
             eprintln!(
                 "streaming synthetic dataset (seed {}, scale ×{})",
                 args.seed, args.scale
             );
-            let base = generate_dataset(&SynthConfig {
+            CorpusSource::Synthetic(SynthConfig {
                 seed: args.seed,
                 ..SynthConfig::default()
-            });
-            for_each_scaled_batch(&base, args.scale, INGEST_BATCH_REPORTS, |batch| {
-                ingest.push_batch(batch)
             })
         }
     };
-    result.map_err(data_err).map(|()| {
+    let vfs = spec_vfs::default_vfs();
+    for_each_corpus_batch(
+        &source,
+        args.scale,
+        vfs.as_ref(),
+        INGEST_BATCH_REPORTS,
+        |items| ingest.push(items).map_err(data_err),
+    )
+    .map(|()| {
         let seconds = start.elapsed().as_secs_f64();
         let report = ingest.report();
         println!("{}", report.to_markdown());

@@ -2,13 +2,15 @@
 //! comparable analysis set, with a per-category accounting of everything
 //! that was filtered out.
 //!
-//! The cascade is embarrassingly parallel per report, so
-//! [`load_from_texts_parallel`] shards the input into contiguous ranges,
-//! runs the full two-stage cascade per shard on the `tinypool` pool, and
-//! merges the per-shard [`FilterReport`]s and run vectors **in shard
+//! The cascade runs two ways. The sequential `load_from_*` functions
+//! share one unsharded body, the reference. Everything parallel —
+//! [`load_from_texts_parallel`], [`load_from_dir_vfs`] and the streaming
+//! sinks in [`crate::stream`] — goes through one sharded kernel that runs
+//! the full two-stage cascade per contiguous shard on the `tinypool` pool
+//! and merges the per-shard [`FilterReport`]s and outputs **in shard
 //! order**. Because every count lives in a `BTreeMap` and the merge is
-//! ordered concatenation, the result is identical to the sequential
-//! [`load_from_texts`] for every thread count.
+//! ordered concatenation, the kernel's result is identical to the
+//! reference for every thread count and batch split.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -215,6 +217,20 @@ pub struct AnalysisSet {
     pub report: FilterReport,
 }
 
+/// One borrowed corpus item as the cascade consumes it: the origin (a
+/// file name, when known) and the input.
+pub type InputRef<'a> = (Option<&'a str>, RawInputRef<'a>);
+
+/// Borrow a report text as an origin-less [`InputRef`].
+pub(crate) fn text_ref<S: AsRef<str>>(text: &S) -> InputRef<'_> {
+    (None, RawInputRef::Text(text.as_ref()))
+}
+
+/// Borrow an owned `(origin, input)` pair as an [`InputRef`].
+pub(crate) fn input_ref(item: &(Option<String>, RawInput)) -> InputRef<'_> {
+    (item.0.as_deref(), item.1.as_ref())
+}
+
 /// Run the §II cascade over report texts.
 pub fn load_from_texts<I, S>(texts: I) -> AnalysisSet
 where
@@ -225,27 +241,44 @@ where
 }
 
 /// Run the §II cascade over `(origin, text)` pairs, attaching the origin
-/// (typically a file name) to any parse-failure diagnostics. This is the
-/// workhorse behind [`load_from_texts`] and [`load_from_dir`].
+/// (typically a file name) to any parse-failure diagnostics.
 pub fn load_from_named_texts<I, N, S>(items: I) -> AnalysisSet
 where
     I: IntoIterator<Item = (Option<N>, S)>,
     N: Into<String>,
     S: AsRef<str>,
 {
-    let (valid, mut report) = stage1_validate(items);
+    let (valid, report) = stage1_validate(items);
+    complete_sequential(valid, report)
+}
+
+/// Run the cascade over owned `(origin, input)` pairs.
+pub fn load_from_inputs<I>(items: I) -> AnalysisSet
+where
+    I: IntoIterator<Item = (Option<String>, RawInput)>,
+{
+    let owned: Vec<(Option<String>, RawInput)> = items.into_iter().collect();
+    let (valid, report, _) = stage1_validate_inputs_indexed(owned.iter().map(input_ref));
+    complete_sequential(valid, report)
+}
+
+/// The sequential body behind every unsharded `load_from_*`: stage 2 over
+/// the stage-1 survivors, in one pass. This is the reference the sharded
+/// kernel ([`sharded_cascade`]) is pinned against.
+fn complete_sequential(valid: Vec<RunResult>, mut report: FilterReport) -> AnalysisSet {
     let (indices, stage2) = stage2_split(&valid);
-    let comparable: Vec<RunResult> = indices
-        .iter()
-        .map(|&i| valid[i as usize].clone())
-        .collect();
     report.stage2 = stage2;
-    report.comparable = comparable.len();
+    report.comparable = indices.len();
     AnalysisSet {
+        comparable: select(&valid, &indices),
         valid,
-        comparable,
         report,
     }
+}
+
+/// Clone the runs at `indices` (comparable indices into the valid set).
+pub(crate) fn select(runs: &[RunResult], indices: &[u32]) -> Vec<RunResult> {
+    indices.iter().map(|&i| runs[i as usize].clone()).collect()
 }
 
 /// Stage 0+1 of the cascade: parse every text and run the §II validity
@@ -261,36 +294,25 @@ where
         .into_iter()
         .map(|(origin, text)| (origin.map(Into::into), text))
         .collect();
-    stage1_validate_inputs(
+    let (valid, report, _) = stage1_validate_inputs_indexed(
         owned
             .iter()
             .map(|(origin, text)| (origin.as_deref(), RawInputRef::Text(text.as_ref()))),
-    )
-}
-
-/// [`stage1_validate`] over [`RawInputRef`]s: texts run the normal
-/// parse+validate path; `IoError` inputs are counted as `io-error` parse
-/// failures (graceful degradation — the cascade never aborts on a single
-/// unreadable file).
-pub fn stage1_validate_inputs<'a, I, N>(items: I) -> (Vec<RunResult>, FilterReport)
-where
-    I: IntoIterator<Item = (Option<N>, RawInputRef<'a>)>,
-    N: Into<String>,
-{
-    let (valid, report, _) = stage1_validate_inputs_indexed(items);
+    );
     (valid, report)
 }
 
-/// [`stage1_validate_inputs`] that also returns, for each valid run, the
-/// zero-based index of the input it came from — the partitioned stage graph
-/// needs the mapping to place a partition's survivors back into global
-/// corpus order when merging.
-pub fn stage1_validate_inputs_indexed<'a, I, N>(
+/// Stage 1 over [`InputRef`]s, also returning, for each valid run, the
+/// zero-based index of the input it came from (the partitioned stage graph
+/// and the row cascade route survivors by it). Texts run the normal
+/// parse+validate path; `IoError` inputs are counted as `io-error` parse
+/// failures (graceful degradation — the cascade never aborts on a single
+/// unreadable file).
+pub(crate) fn stage1_validate_inputs_indexed<'a, I>(
     items: I,
 ) -> (Vec<RunResult>, FilterReport, Vec<u32>)
 where
-    I: IntoIterator<Item = (Option<N>, RawInputRef<'a>)>,
-    N: Into<String>,
+    I: IntoIterator<Item = InputRef<'a>>,
 {
     let mut report = FilterReport::default();
     let mut valid = Vec::new();
@@ -376,17 +398,38 @@ pub fn stage2_split(valid: &[RunResult]) -> (Vec<u32>, BTreeMap<ComparabilityIss
     (indices, stage2)
 }
 
-/// Run the §II cascade over a slice of report texts in parallel.
+/// One shard's cascade output, handed to the per-shard closure of
+/// [`sharded_cascade`] on the pool worker that computed it.
+pub(crate) struct ShardCascade<'s, 'a> {
+    /// Offset of the shard's first input within the batch.
+    pub(crate) start: usize,
+    /// The shard's inputs.
+    pub(crate) inputs: &'s [InputRef<'a>],
+    /// Stage-1 survivors, in input order.
+    pub(crate) valid: Vec<RunResult>,
+    /// Indices into `valid` of the runs that also pass stage 2.
+    pub(crate) comparable: Vec<u32>,
+    /// For each valid run, the shard-local index of its input.
+    pub(crate) input_index: Vec<u32>,
+}
+
+/// The sharded §II cascade: the one kernel behind every parallel ingest
+/// path ([`load_from_texts_parallel`], [`load_from_dir_vfs`],
+/// [`crate::stream::StreamIngest`], [`crate::stream::StreamRows`]).
 ///
-/// Same result as [`load_from_texts`] — bit-for-bit, for any thread count:
-/// the input is split into contiguous shards whose layout depends only on
-/// the input length, each shard runs the full cascade independently, and
-/// shard outputs are concatenated/merged in shard order.
-pub fn load_from_texts_parallel<S>(texts: &[S]) -> AnalysisSet
+/// The batch is split into contiguous shards whose layout depends only on
+/// its length; each shard runs stage 1 + stage 2 on a pool worker (one
+/// `ingest-shard` span each) and hands its result to `per_shard` there.
+/// Shard reports merge and shard outputs return **in shard order**, so the
+/// result equals the sequential `load_from_*` reference for any thread
+/// count: stage 1 is per input, stage 2 is per run, and
+/// [`FilterReport::merge`] is associative with index offsetting.
+pub(crate) fn sharded_cascade<R, F>(items: &[InputRef<'_>], per_shard: F) -> (FilterReport, Vec<R>)
 where
-    S: AsRef<str> + Sync,
+    R: Send,
+    F: Fn(ShardCascade<'_, '_>) -> R + Sync,
 {
-    let ranges = tinypool::run_chunks(texts.len(), |_| {});
+    let ranges = tinypool::run_chunks(items.len(), |_| {});
     let shards = tinypool::parallel_map(&ranges, |range| {
         let mut sp = obs::span("ingest-shard");
         if obs::enabled() {
@@ -394,25 +437,58 @@ where
             sp.record("items", range.len());
             sp.observe_into("ingest.shard_us");
         }
-        load_from_texts(texts[range.clone()].iter().map(AsRef::as_ref))
+        let inputs = &items[range.clone()];
+        let (valid, mut report, input_index) =
+            stage1_validate_inputs_indexed(inputs.iter().copied());
+        let (comparable, stage2) = stage2_split(&valid);
+        report.stage2 = stage2;
+        report.comparable = comparable.len();
+        let out = per_shard(ShardCascade {
+            start: range.start,
+            inputs,
+            valid,
+            comparable,
+            input_index,
+        });
+        (report, out)
     });
-    merge_shards(shards)
+    let mut report = FilterReport::default();
+    let outs = shards
+        .into_iter()
+        .map(|(shard, out)| {
+            report.merge(&shard);
+            out
+        })
+        .collect();
+    (report, outs)
 }
 
-fn merge_shards(shards: Vec<AnalysisSet>) -> AnalysisSet {
-    let mut report = FilterReport::default();
-    let mut valid = Vec::new();
-    let mut comparable = Vec::new();
-    for shard in shards {
-        report.merge(&shard.report);
-        valid.extend(shard.valid);
-        comparable.extend(shard.comparable);
-    }
-    AnalysisSet {
-        valid,
-        comparable,
+/// [`sharded_cascade`] into an [`AnalysisSet`]: shard run vectors are
+/// concatenated in shard order.
+fn sharded_set(items: &[InputRef<'_>]) -> AnalysisSet {
+    let (report, shards) = sharded_cascade(items, |shard| {
+        let comparable = select(&shard.valid, &shard.comparable);
+        (shard.valid, comparable)
+    });
+    let mut set = AnalysisSet {
+        valid: Vec::new(),
+        comparable: Vec::new(),
         report,
+    };
+    for (valid, comparable) in shards {
+        set.valid.extend(valid);
+        set.comparable.extend(comparable);
     }
+    set
+}
+
+/// Run the §II cascade over a slice of report texts in parallel: same
+/// result as [`load_from_texts`], bit-for-bit, for any thread count.
+pub fn load_from_texts_parallel<S>(texts: &[S]) -> AnalysisSet
+where
+    S: AsRef<str> + Sync,
+{
+    sharded_set(&texts.iter().map(text_ref).collect::<Vec<_>>())
 }
 
 /// List the `*.txt` report files under `dir`, sorted. Failure to read the
@@ -478,55 +554,17 @@ pub fn read_inputs_shared(vfs: &dyn Vfs, paths: &[PathBuf]) -> Vec<(Option<Strin
         .collect()
 }
 
-/// Run the cascade over owned `(origin, input)` pairs.
-pub fn load_from_inputs<I>(items: I) -> AnalysisSet
-where
-    I: IntoIterator<Item = (Option<String>, RawInput)>,
-{
-    let owned: Vec<(Option<String>, RawInput)> = items.into_iter().collect();
-    let (valid, mut report) = stage1_validate_inputs(
-        owned
-            .iter()
-            .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
-    );
-    let (indices, stage2) = stage2_split(&valid);
-    let comparable: Vec<RunResult> = indices
-        .iter()
-        .map(|&i| valid[i as usize].clone())
-        .collect();
-    report.stage2 = stage2;
-    report.comparable = comparable.len();
-    AnalysisSet {
-        valid,
-        comparable,
-        report,
-    }
-}
-
-/// Load every `*.txt` file in a directory and run the cascade.
-///
-/// Files are processed in sorted-path order, but each shard of files is
-/// read *and* cascaded on a pool worker, so one shard's file I/O overlaps
-/// another's parsing. Results are merged in shard order and match a
-/// sequential read-then-[`load_from_texts`] exactly.
+/// Load every `*.txt` file in a directory and run the cascade: the files
+/// are read in sorted-path order into one slab arena
+/// ([`read_inputs_shared`]), then cascaded by the sharded kernel. The
+/// result matches a sequential read-then-[`load_from_inputs`] exactly.
 ///
 /// Robustness: an unreadable directory is a typed [`spec_diag::TrendsError`];
 /// an unreadable *file* is not fatal — it is recorded as an `io-error`
 /// parse failure (see [`read_input`]) and the cascade continues.
 pub fn load_from_dir_vfs(vfs: &dyn Vfs, dir: &Path) -> spec_diag::Result<AnalysisSet> {
-    let entries = list_report_files(vfs, dir)?;
-    let ranges = tinypool::run_chunks(entries.len(), |_| {});
-    let shards = tinypool::parallel_map(&ranges, |range| {
-        let mut sp = obs::span("ingest-shard");
-        if obs::enabled() {
-            sp.record("start", range.start);
-            sp.record("items", range.len());
-            sp.observe_into("ingest.shard_us");
-        }
-        let items = read_inputs_shared(vfs, &entries[range.clone()]);
-        load_from_inputs(items)
-    });
-    Ok(merge_shards(shards))
+    let items = read_inputs_shared(vfs, &list_report_files(vfs, dir)?);
+    Ok(sharded_set(&items.iter().map(input_ref).collect::<Vec<_>>()))
 }
 
 /// [`load_from_dir_vfs`] on the default (real, retrying) filesystem.
@@ -664,8 +702,8 @@ mod tests {
             let run = linear_test_run(i as u32, 1e6, 60.0, 300.0);
             std::fs::write(dir.join(name), write_run(&run)).unwrap();
         }
-        // EIO on the second file read; one worker makes the read order the
-        // sorted file order, so the casualty is deterministically b.txt.
+        // EIO on the second file read; files are read in sorted order, so
+        // the casualty is deterministically b.txt.
         let vfs =
             FaultVfs::new(Arc::new(RealVfs)).with_fault(OpKind::Read, 1, FaultKind::Eio);
         let pool = tinypool::Pool::new(1);

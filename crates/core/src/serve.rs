@@ -113,12 +113,12 @@ use tinyframe::{Column, Frame};
 use crate::export::{fig1_frame, fig4_frame, series_frame};
 use crate::figures::common::RunRow;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{FilterReport, RawInput};
+use crate::pipeline::FilterReport;
 use crate::stage::{
     decode_from_slice, encode_to_vec, ArtifactCache, CorpusSource, PartKey, PartitionSummary,
     PartitionedDriver, ShardSpec,
 };
-use crate::stream::StreamRows;
+use crate::stream::{for_each_corpus_batch, StreamRows};
 
 pub use net::Limits;
 
@@ -465,52 +465,23 @@ impl Snapshot {
         let owns = |key: &PartKey| shard.is_none_or(|s| s.owns(key));
         let mut stream = StreamRows::new();
         let mut store = Snapshot::row_store(config, generation)?;
-        {
-            let mut sink = |key: PartKey, gidx: u32, comparable: bool, row: RunRow| {
-                if owns(&key) {
-                    store.push(key, gidx, comparable, row)
-                } else {
-                    Ok(())
-                }
-            };
-            match &config.source {
-                CorpusSource::Synthetic(synth) => {
-                    let base = spec_synth::generate_dataset(synth);
-                    spec_synth::for_each_scaled_batch(
-                        &base,
-                        config.scale.max(1),
-                        STREAM_BATCH,
-                        |texts| stream.push_batch(texts, &mut sink),
-                    )
-                    .map_err(frame_err)?;
-                }
-                CorpusSource::Dir(dir) => {
-                    let files = crate::pipeline::list_report_files(&*config.vfs, dir)?;
-                    for chunk in files.chunks(STREAM_BATCH) {
-                        let items: Vec<(Option<String>, RawInput)> = chunk
-                            .iter()
-                            .map(|path| crate::pipeline::read_input(&*config.vfs, path))
-                            .collect();
-                        stream
-                            .push_input_batch(&items, &mut sink)
-                            .map_err(frame_err)?;
-                    }
-                }
-                CorpusSource::Memory(items) => {
-                    for chunk in items.chunks(STREAM_BATCH) {
-                        let owned: Vec<(Option<String>, RawInput)> = chunk
-                            .iter()
-                            .map(|(origin, text)| {
-                                (origin.clone(), RawInput::Text(text.clone()))
-                            })
-                            .collect();
-                        stream
-                            .push_input_batch(&owned, &mut sink)
-                            .map_err(frame_err)?;
-                    }
-                }
-            }
-        }
+        for_each_corpus_batch(
+            &config.source,
+            config.scale,
+            &*config.vfs,
+            STREAM_BATCH,
+            |items| {
+                stream
+                    .push(items, |key, gidx, comparable, row| {
+                        if owns(&key) {
+                            store.push(key, gidx, comparable, row)
+                        } else {
+                            Ok(())
+                        }
+                    })
+                    .map_err(frame_err)
+            },
+        )?;
         store.seal().map_err(frame_err)?;
         let mut query_sp = obs::span("serve.refresh.full_query");
         let tagged = store.query(|_| true, |_| true).map_err(frame_err)?;
@@ -550,11 +521,12 @@ impl Snapshot {
             .collect();
         let report = if shard.is_some() {
             // A shard's cascade header counts the partitions it owns.
-            let mut report = FilterReport::default();
-            report.raw = partitions.iter().map(|p| p.reports).sum();
-            report.valid = partitions.iter().map(|p| p.valid).sum();
-            report.comparable = partitions.iter().map(|p| p.comparable).sum();
-            report
+            FilterReport {
+                raw: partitions.iter().map(|p| p.reports).sum(),
+                valid: partitions.iter().map(|p| p.valid).sum(),
+                comparable: partitions.iter().map(|p| p.comparable).sum(),
+                ..FilterReport::default()
+            }
         } else {
             stream.report().clone()
         };
@@ -1138,6 +1110,14 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| TrendsError::io("serve", &e))?;
+        // The watcher's baseline must predate the generation-0 build: a
+        // report landing while the snapshot builds then still differs
+        // from the baseline, and the first poll refreshes it in.
+        let baseline = config
+            .watch
+            .as_deref()
+            .filter(|_| config.fan_out.is_empty())
+            .map(dir_fingerprint);
         let backend = if config.fan_out.is_empty() {
             Backend::Local {
                 snapshot: RwLock::new(Arc::new(Snapshot::build(&config, 0)?)),
@@ -1189,13 +1169,12 @@ impl Server {
             .collect();
 
         let watcher = match &shared.backend {
-            Backend::Local { .. } => config.watch.as_ref().map(|dir| {
+            Backend::Local { .. } => config.watch.clone().zip(baseline).map(|(dir, baseline)| {
                 let shared = Arc::clone(&shared);
                 let config = config.clone();
-                let dir = dir.clone();
                 std::thread::Builder::new()
                     .name("serve-watcher".to_string())
-                    .spawn(move || watcher_loop(&shared, &config, &dir))
+                    .spawn(move || watcher_loop(&shared, &config, &dir, baseline))
                     .expect("spawn watcher")
             }),
             Backend::FanOut(_) => {
@@ -1316,8 +1295,14 @@ fn dir_fingerprint(dir: &std::path::Path) -> Vec<(String, u64, u128)> {
     entries
 }
 
-fn watcher_loop(shared: &Shared, config: &ServeConfig, dir: &std::path::Path) {
-    let mut last = dir_fingerprint(dir);
+/// Poll `dir` and refresh on every change relative to `last`, the
+/// fingerprint taken before the serving snapshot was built.
+fn watcher_loop(
+    shared: &Shared,
+    config: &ServeConfig,
+    dir: &std::path::Path,
+    mut last: Vec<(String, u64, u128)>,
+) {
     let step = Duration::from_millis(config.poll_ms.clamp(10, 1000));
     while !shared.draining() {
         std::thread::sleep(step);

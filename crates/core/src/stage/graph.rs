@@ -20,7 +20,7 @@ use super::artifact::{
 };
 use super::codec::Codec;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
-use crate::pipeline::{stage1_validate_inputs, stage2_split};
+use crate::pipeline::{input_ref, stage1_validate_inputs_indexed, stage2_split};
 use crate::report::Study;
 
 /// Identity of one pipeline stage.
@@ -153,12 +153,7 @@ impl Stage for ValidateStage {
     const ID: StageId = StageId::Validate;
 
     fn run(corpus: &CorpusArtifact) -> spec_diag::Result<ValidateArtifact> {
-        let (valid, report) = stage1_validate_inputs(
-            corpus
-                .items
-                .iter()
-                .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
-        );
+        let (valid, report, _) = stage1_validate_inputs_indexed(corpus.items.iter().map(input_ref));
         Ok(ValidateArtifact { valid, report })
     }
 }

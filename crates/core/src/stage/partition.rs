@@ -45,8 +45,8 @@ use super::CODE_VERSION;
 use crate::figures::common::{extract_rows, RunRow};
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
 use crate::pipeline::{
-    stage1_validate_inputs_indexed, stage2_split, AnalysisSet, FilterReport, ParseFailureRecord,
-    RawInput,
+    input_ref, stage1_validate_inputs_indexed, stage2_split, AnalysisSet, FilterReport,
+    ParseFailureRecord, RawInput,
 };
 use crate::report::Study;
 use crate::table1::Table1;
@@ -375,11 +375,8 @@ fn resolve_partition(
     let label = key.label();
     let vkey = part_stage_key(PartStageKind::Validate, &label, part.hash);
     let (validate, vh, vhit) = resolve_part_stage(cache, PartStageKind::Validate, &label, vkey, || {
-        let (valid, report, item_index) = stage1_validate_inputs_indexed(
-            part.items
-                .iter()
-                .map(|(origin, input)| (origin.as_deref(), input.as_ref())),
-        );
+        let (valid, report, item_index) =
+            stage1_validate_inputs_indexed(part.items.iter().map(input_ref));
         PartValidateArtifact {
             validate: ValidateArtifact { valid, report },
             item_index,

@@ -3,22 +3,29 @@
 //! [`crate::pipeline::load_from_texts`] holds every report text, every
 //! parsed [`RunResult`] and (downstream) the whole feature frame in memory
 //! at once, which is what capped corpus scaling near ×100. This module
-//! ingests the corpus in bounded batches instead: each batch is sharded
-//! across the `tinypool` workers, each shard runs the full §II cascade and
-//! renders its survivors into segment-sized feature frames (a private
-//! *segment arena*), and the shard arenas are adopted into two
-//! [`SegFrame`] stores — one for stage-1-valid runs, one for comparable
-//! runs — in shard order. With spill enabled the stores evict cold
-//! segments through `spec-vfs`, so peak memory is the batch size plus the
-//! resident-set budget regardless of corpus scale.
+//! ingests the corpus in bounded batches instead. Each batch goes through
+//! the one sharded §II kernel ([`crate::pipeline`]); a per-shard sink runs
+//! on the pool worker and the kernel merges shard outputs in shard order.
+//! There are two sinks over one shared accumulator:
 //!
-//! Correctness contract: ingesting any batch split of a corpus produces a
-//! [`FilterReport`] and feature tables **bit-identical** to the monolithic
-//! [`crate::pipeline::load_from_texts`] +
-//! [`crate::features::runs_to_frame`] path. This holds because stage 1 is
-//! per-input, stage 2 is per-run ([`stage2_split`] inspects each run
-//! independently), and [`FilterReport::merge`] is associative with
-//! index offsetting.
+//! * [`StreamIngest`] renders survivors into segment-sized feature frames
+//!   adopted into two [`SegFrame`] stores (stage-1-valid and comparable
+//!   runs). With spill enabled the stores evict cold segments through
+//!   `spec-vfs`, so peak memory is the batch size plus the resident-set
+//!   budget regardless of corpus scale.
+//! * [`StreamRows`] routes every survivor's [`RunRow`] to its (year,
+//!   vendor) partition — the serve daemon's out-of-core snapshot build.
+//!
+//! [`for_each_corpus_batch`] is the one batch reader over a
+//! [`CorpusSource`] that feeds either sink.
+//!
+//! Correctness contract: ingesting any batch split of a corpus at any
+//! thread count produces a [`FilterReport`] and sink output
+//! **bit-identical** to the sequential [`crate::pipeline::load_from_inputs`]
+//! reference (+ [`crate::features::runs_to_frame`] or
+//! [`extract_rows`]). This holds because stage 1 is per-input, stage 2 is
+//! per-run, and [`FilterReport::merge`] is associative with index
+//! offsetting.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -26,15 +33,16 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use spec_model::RunResult;
-use spec_obs as obs;
+use spec_vfs::Vfs;
 use tinyframe::{Frame, SegFrame, VfsSegmentStore, DEFAULT_SEGMENT_ROWS};
 
 use crate::features::runs_to_frame;
 use crate::figures::common::{extract_rows, RunRow};
 use crate::pipeline::{
-    stage1_validate_inputs_indexed, stage2_split, FilterReport, RawInput, RawInputRef,
+    input_ref, list_report_files, read_inputs_shared, select, sharded_cascade, text_ref,
+    FilterReport, InputRef, RawInput, RawInputRef, ShardCascade,
 };
-use crate::stage::{part_key_of_input, part_key_of_text, PartKey};
+use crate::stage::{part_key_of_text, CorpusSource, PartKey};
 
 /// Spill configuration for [`StreamIngest`].
 #[derive(Clone, Debug)]
@@ -65,83 +73,90 @@ impl Default for StreamConfig {
     }
 }
 
-/// Per-(year, vendor) partition cascade counts accumulated by
-/// [`StreamIngest`]. The same key derivation as the partitioned stage
-/// graph ([`part_key_of_text`]), so a streamed corpus can be checked
-/// against [`crate::stage::PartitionedDriver::partition_summary`]
-/// partition-for-partition.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamPartitionCounts {
-    /// Raw inputs routed to the partition.
-    pub raw: usize,
-    /// Stage-1 survivors.
-    pub valid: usize,
-    /// Stage-2 survivors.
-    pub comparable: usize,
+/// Hand `f` the corpus of `source` in consecutive batches of at most
+/// `batch` borrowed inputs, in corpus order — the one batch reader behind
+/// `spec-trends ingest` and the serve daemon's streaming snapshot build.
+///
+/// * `Synthetic` streams the corpus replicated `scale`×
+///   ([`spec_synth::for_each_scaled_batch`]) without materializing it.
+/// * `Dir` lists the sorted `*.txt` files and reads each batch into one
+///   slab arena ([`read_inputs_shared`]). An unreadable directory is an
+///   error; an unreadable file arrives as an `IoError` input.
+/// * `Memory` borrows the in-memory `(origin, text)` pairs.
+///
+/// `scale` applies to `Synthetic` only.
+pub fn for_each_corpus_batch<F>(
+    source: &CorpusSource,
+    scale: u32,
+    vfs: &dyn Vfs,
+    batch: usize,
+    mut f: F,
+) -> spec_diag::Result<()>
+where
+    F: FnMut(&[InputRef<'_>]) -> spec_diag::Result<()>,
+{
+    let batch = batch.max(1);
+    match source {
+        CorpusSource::Synthetic(synth) => {
+            let base = spec_synth::generate_dataset(synth);
+            spec_synth::for_each_scaled_batch(&base, scale.max(1), batch, |texts| {
+                f(&texts.iter().map(text_ref).collect::<Vec<_>>())
+            })
+        }
+        CorpusSource::Dir(dir) => {
+            list_report_files(vfs, dir)?
+                .chunks(batch)
+                .try_for_each(|paths| {
+                    let items = read_inputs_shared(vfs, paths);
+                    f(&items.iter().map(input_ref).collect::<Vec<_>>())
+                })
+        }
+        CorpusSource::Memory(items) => items.chunks(batch).try_for_each(|chunk| {
+            f(&chunk
+                .iter()
+                .map(|(origin, text)| (origin.as_deref(), RawInputRef::Text(text)))
+                .collect::<Vec<_>>())
+        }),
+    }
 }
 
-impl StreamPartitionCounts {
-    fn merge(&mut self, other: &StreamPartitionCounts) {
-        self.raw += other.raw;
-        self.valid += other.valid;
-        self.comparable += other.comparable;
+/// The state [`StreamIngest`] and [`StreamRows`] share: the merged report
+/// and the batch count. `report.raw` is the global corpus index of the
+/// next batch's first input.
+#[derive(Debug, Default)]
+struct Accumulator {
+    report: FilterReport,
+    batches: usize,
+}
+
+impl Accumulator {
+    /// Cascade one batch through the sharded kernel and fold its report
+    /// in. Returns the batch's global index base and the per-shard
+    /// outputs, in shard order.
+    fn push<R, F>(&mut self, items: &[InputRef<'_>], per_shard: F) -> (u32, Vec<R>)
+    where
+        R: Send,
+        F: Fn(ShardCascade<'_, '_>) -> R + Sync,
+    {
+        let base = self.report.raw as u32;
+        let (report, shards) = sharded_cascade(items, per_shard);
+        self.report.merge(&report);
+        self.batches += 1;
+        (base, shards)
     }
 }
 
 /// Incremental ingest state: push batches of report texts, read off the
-/// accumulated [`FilterReport`], segmented feature tables and per-partition
-/// counts at any point.
+/// accumulated [`FilterReport`] and segmented feature tables at any point.
 #[derive(Debug)]
 pub struct StreamIngest {
     valid: SegFrame,
     comparable: SegFrame,
-    report: FilterReport,
-    partitions: BTreeMap<PartKey, StreamPartitionCounts>,
-    batches: usize,
+    acc: Accumulator,
 }
 
 fn frame_to_io(err: tinyframe::FrameError) -> io::Error {
     io::Error::other(err)
-}
-
-/// Per-shard stage-2 + feature-arena construction shared by the text and
-/// input batch paths.
-type Shard = (
-    FilterReport,
-    Vec<Frame>,
-    Vec<Frame>,
-    BTreeMap<PartKey, StreamPartitionCounts>,
-);
-
-/// `keys[i]` is the partition of shard input `i`; `item_index[j]` is the
-/// shard input each valid run `j` came from — together they route every
-/// cascade level to its (year, vendor) partition. The routing is
-/// per-input, so shard/batch merging stays associative.
-fn shard_arenas(
-    valid: Vec<RunResult>,
-    mut report: FilterReport,
-    segment_rows: usize,
-    keys: &[PartKey],
-    item_index: &[u32],
-) -> Shard {
-    let (indices, stage2) = stage2_split(&valid);
-    report.comparable = indices.len();
-    report.stage2 = stage2;
-    let comparable: Vec<RunResult> = indices.iter().map(|&i| valid[i as usize].clone()).collect();
-    let mut partitions: BTreeMap<PartKey, StreamPartitionCounts> = BTreeMap::new();
-    for key in keys {
-        partitions.entry(*key).or_default().raw += 1;
-    }
-    for &input in item_index {
-        partitions.entry(keys[input as usize]).or_default().valid += 1;
-    }
-    for &run in &indices {
-        let key = keys[item_index[run as usize] as usize];
-        partitions.entry(key).or_default().comparable += 1;
-    }
-    let valid_arena: Vec<Frame> = valid.chunks(segment_rows).map(runs_to_frame).collect();
-    let comp_arena: Vec<Frame> = comparable.chunks(segment_rows).map(runs_to_frame).collect();
-    (report, valid_arena, comp_arena, partitions)
 }
 
 impl StreamIngest {
@@ -175,42 +190,16 @@ impl StreamIngest {
         Ok(StreamIngest {
             valid,
             comparable,
-            report: FilterReport::default(),
-            partitions: BTreeMap::new(),
-            batches: 0,
+            acc: Accumulator::default(),
         })
     }
 
     /// Ingest one batch of report texts.
-    ///
-    /// The batch is sharded across the worker pool; each shard runs
-    /// stage 1 + stage 2 and builds its segment arena of feature frames,
-    /// and arenas are merged in shard order, so the result is identical
-    /// for any batch split and any thread count.
     pub fn push_batch<S>(&mut self, texts: &[S]) -> tinyframe::Result<()>
     where
         S: AsRef<str> + Sync,
     {
-        let segment_rows = self.valid.segment_rows();
-        let mut sp = obs::span("stream-batch");
-        let ranges = tinypool::run_chunks(texts.len(), |_| {});
-        let shards: Vec<Shard> = tinypool::parallel_map(&ranges, |range| {
-            let slice = &texts[range.clone()];
-            let keys: Vec<PartKey> = slice.iter().map(|t| part_key_of_text(t.as_ref())).collect();
-            let (valid, report, item_index) = stage1_validate_inputs_indexed(
-                slice
-                    .iter()
-                    .map(|t| (None::<String>, RawInputRef::Text(t.as_ref()))),
-            );
-            shard_arenas(valid, report, segment_rows, &keys, &item_index)
-        });
-        self.merge_shards(shards)?;
-        if obs::enabled() {
-            sp.record("items", texts.len());
-            sp.observe_into("ingest.stream_batch_us");
-            obs::count("ingest.stream_batches", 1);
-        }
-        Ok(())
+        self.push(&texts.iter().map(text_ref).collect::<Vec<_>>())
     }
 
     /// [`Self::push_batch`] over owned `(origin, input)` pairs — the
@@ -221,66 +210,42 @@ impl StreamIngest {
         &mut self,
         items: &[(Option<String>, RawInput)],
     ) -> tinyframe::Result<()> {
-        let segment_rows = self.valid.segment_rows();
-        let mut sp = obs::span("stream-batch");
-        let ranges = tinypool::run_chunks(items.len(), |_| {});
-        let shards: Vec<Shard> = tinypool::parallel_map(&ranges, |range| {
-            let slice = &items[range.clone()];
-            let keys: Vec<PartKey> = slice
-                .iter()
-                .map(|(_, input)| part_key_of_input(input))
-                .collect();
-            let (valid, report, item_index) = stage1_validate_inputs_indexed(
-                slice
-                    .iter()
-                    .map(|(origin, input)| (origin.clone(), input.as_ref())),
-            );
-            shard_arenas(valid, report, segment_rows, &keys, &item_index)
-        });
-        self.merge_shards(shards)?;
-        if obs::enabled() {
-            sp.record("items", items.len());
-            sp.observe_into("ingest.stream_batch_us");
-            obs::count("ingest.stream_batches", 1);
-        }
-        Ok(())
+        self.push(&items.iter().map(input_ref).collect::<Vec<_>>())
     }
 
-    fn merge_shards(&mut self, shards: Vec<Shard>) -> tinyframe::Result<()> {
-        for (report, valid_arena, comp_arena, partitions) in shards {
-            self.report.merge(&report);
-            for (key, counts) in &partitions {
-                self.partitions.entry(*key).or_default().merge(counts);
-            }
-            for frame in valid_arena {
+    /// Ingest one batch of borrowed inputs (the form
+    /// [`for_each_corpus_batch`] yields). Each shard renders its survivors
+    /// into segment-sized feature frames on its pool worker; the frames
+    /// are adopted in shard order, so the stores are identical for any
+    /// batch split and any thread count.
+    pub fn push(&mut self, items: &[InputRef<'_>]) -> tinyframe::Result<()> {
+        let segment_rows = self.valid.segment_rows();
+        let arena = |runs: &[RunResult]| -> Vec<Frame> {
+            runs.chunks(segment_rows).map(runs_to_frame).collect()
+        };
+        let (_, shards) = self.acc.push(items, |shard| {
+            let comparable = select(&shard.valid, &shard.comparable);
+            (arena(&shard.valid), arena(&comparable))
+        });
+        for (valid, comparable) in shards {
+            for frame in valid {
                 self.valid.append_frame(frame)?;
             }
-            for frame in comp_arena {
+            for frame in comparable {
                 self.comparable.append_frame(frame)?;
             }
-        }
-        self.batches += 1;
-        if obs::enabled() {
-            obs::set_gauge("ingest.partitions", self.partitions.len() as i64);
         }
         Ok(())
     }
 
     /// Accumulated filter accounting over every batch so far.
     pub fn report(&self) -> &FilterReport {
-        &self.report
+        &self.acc.report
     }
 
     /// Number of batches ingested.
     pub fn batches(&self) -> usize {
-        self.batches
-    }
-
-    /// Accumulated per-(year, vendor) partition cascade counts. Sums
-    /// across partitions equal the corresponding [`Self::report`] totals
-    /// for any batch split and thread count.
-    pub fn partition_counts(&self) -> &BTreeMap<PartKey, StreamPartitionCounts> {
-        &self.partitions
+        self.acc.batches
     }
 
     /// The segmented feature table of stage-1-valid runs.
@@ -295,54 +260,73 @@ impl StreamIngest {
 
     /// Tear down into `(valid, comparable, report)`.
     pub fn into_parts(self) -> (SegFrame, SegFrame, FilterReport) {
-        (self.valid, self.comparable, self.report)
+        (self.valid, self.comparable, self.acc.report)
     }
 }
 
-/// Per-shard output of the streaming row cascade: the shard's stage-1/2
-/// accounting, its routed `(key, batch-local input index, comparable,
-/// row)` tuples and its per-partition counts.
-type RowShard = (
-    FilterReport,
-    Vec<(PartKey, u32, bool, RunRow)>,
-    BTreeMap<PartKey, StreamPartitionCounts>,
-);
+/// Per-(year, vendor) partition cascade counts accumulated by
+/// [`StreamRows`]. The same key derivation as the partitioned stage graph
+/// ([`part_key_of_text`]), so a streamed corpus can be checked against
+/// [`crate::stage::PartitionedDriver::partition_summary`]
+/// partition-for-partition.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StreamPartitionCounts {
+    /// Raw inputs routed to the partition.
+    pub raw: usize,
+    /// Stage-1 survivors.
+    pub valid: usize,
+    /// Stage-2 survivors.
+    pub comparable: usize,
+}
 
-fn shard_rows(
-    valid: Vec<RunResult>,
-    report: FilterReport,
-    keys: &[PartKey],
-    item_index: &[u32],
-    local_base: u32,
-) -> RowShard {
-    let (indices, stage2) = stage2_split(&valid);
-    let mut report = report;
-    report.comparable = indices.len();
-    report.stage2 = stage2;
-    let mut comparable = vec![false; valid.len()];
-    for &i in &indices {
-        comparable[i as usize] = true;
+impl StreamPartitionCounts {
+    fn merge(&mut self, other: &StreamPartitionCounts) {
+        self.raw += other.raw;
+        self.valid += other.valid;
+        self.comparable += other.comparable;
     }
+}
+
+/// One routed stage-1 survivor: `(partition key, index, comparable, row)`.
+type Routed = (PartKey, u32, bool, RunRow);
+
+/// The row sink's per-shard half: the partition key of every shard input,
+/// the shard's per-partition counts, and each valid run routed with its
+/// batch-local input index. Routing is per input, so shard and batch
+/// merging stay associative.
+fn route_rows(
+    shard: ShardCascade<'_, '_>,
+) -> (BTreeMap<PartKey, StreamPartitionCounts>, Vec<Routed>) {
+    let keys: Vec<PartKey> = shard
+        .inputs
+        .iter()
+        .map(|(_, input)| match input {
+            RawInputRef::Text(text) => part_key_of_text(text),
+            RawInputRef::IoError(_) => PartKey::UNKNOWN,
+        })
+        .collect();
     let mut partitions: BTreeMap<PartKey, StreamPartitionCounts> = BTreeMap::new();
-    for key in keys {
+    for key in &keys {
         partitions.entry(*key).or_default().raw += 1;
     }
-    let rows = extract_rows(&valid);
-    let routed: Vec<(PartKey, u32, bool, RunRow)> = rows
+    let mut comparable = vec![false; shard.valid.len()];
+    for &i in &shard.comparable {
+        comparable[i as usize] = true;
+    }
+    let start = shard.start as u32;
+    let routed = extract_rows(&shard.valid)
         .into_iter()
-        .zip(&comparable)
-        .zip(item_index)
-        .map(|((row, &comp), &input)| {
+        .zip(comparable)
+        .zip(&shard.input_index)
+        .map(|((row, comp), &input)| {
             let key = keys[input as usize];
             let counts = partitions.entry(key).or_default();
             counts.valid += 1;
-            if comp {
-                counts.comparable += 1;
-            }
-            (key, local_base + input, comp, row)
+            counts.comparable += usize::from(comp);
+            (key, start + input, comp, row)
         })
         .collect();
-    (report, routed, partitions)
+    (partitions, routed)
 }
 
 /// Streaming [`RunRow`] cascade: push batches of reports, receive every
@@ -354,12 +338,12 @@ fn shard_rows(
 /// the sink appends straight into an out-of-core row store.
 ///
 /// Same correctness contract as [`StreamIngest`]: any batch split at any
-/// thread count yields the identical report, and sorting the emitted
-/// tuples by global index reproduces the partitioned driver's merged row
+/// thread count yields the identical report, and the emitted tuples arrive
+/// in global-index order, reproducing the partitioned driver's merged row
 /// order exactly (pinned by tests below).
 #[derive(Debug, Default)]
 pub struct StreamRows {
-    report: FilterReport,
+    acc: Accumulator,
     partitions: BTreeMap<PartKey, StreamPartitionCounts>,
 }
 
@@ -369,14 +353,18 @@ impl StreamRows {
         StreamRows::default()
     }
 
-    fn merge_row_shards<E>(
+    /// Ingest one batch of borrowed inputs, emitting each valid run's
+    /// routed row through `sink`. Shards derive partition keys and route
+    /// rows on their pool workers; emission follows shard order, so
+    /// emission order and global indices are identical for any batch
+    /// split and thread count.
+    pub fn push<E>(
         &mut self,
-        shards: Vec<RowShard>,
-        base: u32,
-        sink: &mut impl FnMut(PartKey, u32, bool, RunRow) -> Result<(), E>,
+        items: &[InputRef<'_>],
+        mut sink: impl FnMut(PartKey, u32, bool, RunRow) -> Result<(), E>,
     ) -> Result<(), E> {
-        for (report, routed, partitions) in shards {
-            self.report.merge(&report);
+        let (base, shards) = self.acc.push(items, route_rows);
+        for (partitions, routed) in shards {
             for (key, counts) in &partitions {
                 self.partitions.entry(*key).or_default().merge(counts);
             }
@@ -387,78 +375,14 @@ impl StreamRows {
         Ok(())
     }
 
-    /// Ingest one batch of report texts, emitting each valid run's routed
-    /// row through `sink`. Batches are sharded over the worker pool and
-    /// merged in shard order, so emission order and global indices are
-    /// identical for any batch split and thread count.
-    pub fn push_batch<S, E>(
-        &mut self,
-        texts: &[S],
-        mut sink: impl FnMut(PartKey, u32, bool, RunRow) -> Result<(), E>,
-    ) -> Result<(), E>
-    where
-        S: AsRef<str> + Sync,
-    {
-        let base = self.report.raw as u32;
-        let mut sp = obs::span("stream-rows-batch");
-        let ranges = tinypool::run_chunks(texts.len(), |_| {});
-        let shards: Vec<RowShard> = tinypool::parallel_map(&ranges, |range| {
-            let slice = &texts[range.clone()];
-            let keys: Vec<PartKey> = slice.iter().map(|t| part_key_of_text(t.as_ref())).collect();
-            let (valid, report, item_index) = stage1_validate_inputs_indexed(
-                slice
-                    .iter()
-                    .map(|t| (None::<String>, RawInputRef::Text(t.as_ref()))),
-            );
-            shard_rows(valid, report, &keys, &item_index, range.start as u32)
-        });
-        self.merge_row_shards(shards, base, &mut sink)?;
-        if obs::enabled() {
-            sp.record("items", texts.len());
-            sp.observe_into("ingest.stream_batch_us");
-            obs::count("ingest.stream_row_batches", 1);
-        }
-        Ok(())
-    }
-
-    /// [`Self::push_batch`] over `(origin, input)` pairs — the directory
-    /// form, where unreadable files degrade to `io-error` parse failures.
-    pub fn push_input_batch<E>(
-        &mut self,
-        items: &[(Option<String>, RawInput)],
-        mut sink: impl FnMut(PartKey, u32, bool, RunRow) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let base = self.report.raw as u32;
-        let mut sp = obs::span("stream-rows-batch");
-        let ranges = tinypool::run_chunks(items.len(), |_| {});
-        let shards: Vec<RowShard> = tinypool::parallel_map(&ranges, |range| {
-            let slice = &items[range.clone()];
-            let keys: Vec<PartKey> = slice
-                .iter()
-                .map(|(_, input)| part_key_of_input(input))
-                .collect();
-            let (valid, report, item_index) = stage1_validate_inputs_indexed(
-                slice
-                    .iter()
-                    .map(|(origin, input)| (origin.clone(), input.as_ref())),
-            );
-            shard_rows(valid, report, &keys, &item_index, range.start as u32)
-        });
-        self.merge_row_shards(shards, base, &mut sink)?;
-        if obs::enabled() {
-            sp.record("items", items.len());
-            sp.observe_into("ingest.stream_batch_us");
-            obs::count("ingest.stream_row_batches", 1);
-        }
-        Ok(())
-    }
-
     /// Accumulated filter accounting over every batch so far.
     pub fn report(&self) -> &FilterReport {
-        &self.report
+        &self.acc.report
     }
 
-    /// Accumulated per-(year, vendor) cascade counts.
+    /// Accumulated per-(year, vendor) cascade counts. Sums across
+    /// partitions equal the corresponding [`Self::report`] totals for any
+    /// batch split and thread count.
     pub fn partition_counts(&self) -> &BTreeMap<PartKey, StreamPartitionCounts> {
         &self.partitions
     }
@@ -467,59 +391,225 @@ impl StreamRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::load_from_texts;
+    use crate::pipeline::{load_from_dir, load_from_inputs, load_from_texts};
+    use crate::stage::PartitionedDriver;
     use spec_format::write_run;
-    use spec_model::linear_test_run;
+    use spec_model::{linear_test_run, YearMonth};
+    use std::convert::Infallible;
+    use tinypool::Pool;
 
+    /// Clean reports spread over five hardware years and both x86
+    /// vendors, with a non-report at 3 and a stage-2 (non-x86) reject at
+    /// 11, so every counter and several partitions are exercised.
     fn corpus(n: u32) -> Vec<String> {
-        let mut texts: Vec<String> = (0..n)
-            .map(|i| {
-                write_run(&linear_test_run(
-                    i,
-                    1e6 + i as f64 * 1e3,
-                    50.0 + (i % 7) as f64,
-                    300.0,
-                ))
+        (0..n)
+            .map(|i| match i {
+                3 => "junk that is not a report".to_string(),
+                11 => {
+                    let mut sparc = linear_test_run(999, 1e6, 60.0, 300.0);
+                    sparc.system.cpu.name = "SPARC T3-1".into();
+                    write_run(&sparc)
+                }
+                _ => {
+                    let mut run = linear_test_run(
+                        i,
+                        1e6 + f64::from(i) * 1e3,
+                        50.0 + f64::from(i % 7),
+                        300.0,
+                    );
+                    run.dates.hw_available = YearMonth::new(2012 + (i % 5) as i32, 3).unwrap();
+                    if i % 2 == 0 {
+                        run.system.cpu.name = format!("AMD EPYC {}", 7000 + i);
+                    }
+                    write_run(&run)
+                }
             })
+            .collect()
+    }
+
+    fn views(items: &[(Option<String>, RawInput)]) -> Vec<InputRef<'_>> {
+        items.iter().map(input_ref).collect()
+    }
+
+    /// Both sinks × both input forms × batch sizes 1, 7 and whole-corpus ×
+    /// 1, 2 and 8 threads: every case reproduces the sequential
+    /// `load_from_inputs` reference exactly.
+    #[test]
+    fn every_sink_form_split_and_pool_matches_the_sequential_reference() {
+        let texts = corpus(40);
+        let plain: Vec<(Option<String>, RawInput)> = texts
+            .iter()
+            .map(|t| (None, RawInput::Text(t.clone())))
             .collect();
-        if n > 3 {
-            texts[3] = "junk that is not a report".into();
+        // Named inputs with unreadable files interleaved, first and last.
+        let mut named: Vec<(Option<String>, RawInput)> = texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (Some(format!("r{i:02}.txt")), RawInput::Text(t.clone())))
+            .collect();
+        for at in [0, 9, 25, named.len()] {
+            named.insert(
+                at,
+                (
+                    Some(format!("gone{at}.txt")),
+                    RawInput::IoError("could not read file: EIO".into()),
+                ),
+            );
         }
-        if n > 11 {
-            let mut sparc = linear_test_run(999, 1e6, 60.0, 300.0);
-            sparc.system.cpu.name = "SPARC T3-1".into();
-            texts[11] = write_run(&sparc);
+        for (form, items) in [("texts", &plain), ("inputs", &named)] {
+            let reference = load_from_inputs(items.clone());
+            let want_valid = runs_to_frame(&reference.valid).to_csv();
+            let want_comp = runs_to_frame(&reference.comparable).to_csv();
+            let want_rows = extract_rows(&reference.valid);
+            let want_comp_rows = extract_rows(&reference.comparable);
+            for batch in [1, 7, items.len()] {
+                for threads in [1, 2, 8] {
+                    let case = format!("{form} batch={batch} threads={threads}");
+                    Pool::new(threads).install(|| {
+                        let mut ingest = StreamIngest::new(&StreamConfig {
+                            segment_rows: 4,
+                            spill: None,
+                        })
+                        .unwrap();
+                        for chunk in items.chunks(batch) {
+                            if form == "texts" {
+                                let texts: Vec<&str> = chunk
+                                    .iter()
+                                    .map(|(_, input)| match input {
+                                        RawInput::Text(t) => t.as_str(),
+                                        other => panic!("texts form holds {other:?}"),
+                                    })
+                                    .collect();
+                                ingest.push_batch(&texts).unwrap();
+                            } else {
+                                ingest.push_input_batch(chunk).unwrap();
+                            }
+                        }
+                        assert_eq!(ingest.report(), &reference.report, "{case}");
+                        assert_eq!(ingest.batches(), items.len().div_ceil(batch), "{case}");
+                        assert_eq!(
+                            ingest.valid_features().to_csv().unwrap(),
+                            want_valid,
+                            "{case}"
+                        );
+                        assert_eq!(
+                            ingest.comparable_features().to_csv().unwrap(),
+                            want_comp,
+                            "{case}"
+                        );
+
+                        let mut rows = StreamRows::new();
+                        let mut tagged: Vec<(u32, bool, RunRow)> = Vec::new();
+                        for chunk in items.chunks(batch) {
+                            rows.push::<Infallible>(&views(chunk), |_, gidx, comp, row| {
+                                tagged.push((gidx, comp, row));
+                                Ok(())
+                            })
+                            .unwrap();
+                        }
+                        assert_eq!(rows.report(), &reference.report, "{case}");
+                        assert!(
+                            tagged.windows(2).all(|w| w[0].0 < w[1].0),
+                            "{case}: rows arrive in global-index order"
+                        );
+                        let valid: Vec<RunRow> = tagged.iter().map(|t| t.2).collect();
+                        let comparable: Vec<RunRow> =
+                            tagged.iter().filter(|t| t.1).map(|t| t.2).collect();
+                        assert_eq!(valid, want_rows, "{case}");
+                        assert_eq!(comparable, want_comp_rows, "{case}");
+                    });
+                }
+            }
         }
-        texts
+    }
+
+    /// The row cascade's partition counts are split-invariant, sum to the
+    /// cascade totals, and agree with the partitioned stage graph — as do
+    /// its report and merged row order.
+    #[test]
+    fn row_cascade_partitions_and_rows_match_the_stage_graph() {
+        let texts = corpus(40);
+        let source =
+            CorpusSource::Memory(texts.iter().map(|t| (None, t.clone())).collect::<Vec<_>>());
+        let mut driver = PartitionedDriver::new(source.clone(), spec_ssj::Settings::fast(), 7);
+        let merged = driver.merged().unwrap();
+        let report = driver.filter_report().unwrap();
+        let summary = driver.partition_summary().unwrap();
+
+        let mut reference = None;
+        for batch in [1usize, 7, 40] {
+            let mut stream = StreamRows::new();
+            let mut tagged: Vec<(u32, bool, RunRow)> = Vec::new();
+            for_each_corpus_batch(&source, 1, &spec_vfs::RealVfs, batch, |items| {
+                stream
+                    .push::<Infallible>(items, |_, gidx, comp, row| {
+                        tagged.push((gidx, comp, row));
+                        Ok(())
+                    })
+                    .map_err(|never| match never {})
+            })
+            .unwrap();
+            assert_eq!(stream.report(), &report, "batch={batch}");
+            let valid: Vec<RunRow> = tagged.iter().map(|t| t.2).collect();
+            let comparable: Vec<RunRow> = tagged.iter().filter(|t| t.1).map(|t| t.2).collect();
+            assert_eq!(valid, merged.valid_rows, "batch={batch}");
+            assert_eq!(comparable, merged.comparable_rows, "batch={batch}");
+
+            let counts = stream.partition_counts().clone();
+            assert_eq!(counts.values().map(|c| c.raw).sum::<usize>(), report.raw);
+            assert_eq!(
+                counts.values().map(|c| c.valid).sum::<usize>(),
+                report.valid
+            );
+            assert_eq!(
+                counts.values().map(|c| c.comparable).sum::<usize>(),
+                report.comparable
+            );
+            match &reference {
+                None => reference = Some(counts),
+                Some(want) => assert_eq!(&counts, want, "batch={batch}"),
+            }
+        }
+        let want = reference.unwrap();
+        assert!(want.len() > 1, "the corpus spans several partitions");
+        assert_eq!(summary.len(), want.len());
+        for part in summary {
+            let counts = want.get(&part.key).expect("partition present");
+            assert_eq!(counts.raw, part.reports, "{}", part.key.label());
+            assert_eq!(counts.valid, part.valid, "{}", part.key.label());
+            assert_eq!(counts.comparable, part.comparable, "{}", part.key.label());
+        }
     }
 
     #[test]
-    fn streaming_matches_monolithic_for_any_batch_split() {
-        let texts = corpus(40);
-        let legacy = load_from_texts(&texts);
-        let want_valid = runs_to_frame(&legacy.valid).to_csv();
-        let want_comp = runs_to_frame(&legacy.comparable).to_csv();
-        for batch in [1usize, 7, 40] {
-            let mut ingest = StreamIngest::new(&StreamConfig {
-                segment_rows: 16,
-                spill: None,
-            })
-            .unwrap();
-            for chunk in texts.chunks(batch) {
-                ingest.push_batch(chunk).unwrap();
-            }
-            assert_eq!(ingest.report(), &legacy.report, "batch={batch}");
-            assert_eq!(
-                ingest.valid_features().to_csv().unwrap(),
-                want_valid,
-                "batch={batch}"
-            );
-            assert_eq!(
-                ingest.comparable_features().to_csv().unwrap(),
-                want_comp,
-                "batch={batch}"
-            );
+    fn dir_batches_match_the_directory_loader() {
+        let dir = std::env::temp_dir().join(format!("spec_stream_dir_test_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, text) in corpus(13).iter().enumerate() {
+            std::fs::write(dir.join(format!("r{i:02}.txt")), text).unwrap();
         }
+        std::fs::write(dir.join("notes.md"), "not a report file").unwrap();
+        let mut ingest = StreamIngest::new(&StreamConfig::default()).unwrap();
+        let source = CorpusSource::Dir(dir.clone());
+        for_each_corpus_batch(&source, 1, &spec_vfs::RealVfs, 5, |items| {
+            ingest
+                .push(items)
+                .map_err(|e| spec_diag::TrendsError::config("test", e.to_string()))
+        })
+        .unwrap();
+        let legacy = load_from_dir(&dir).unwrap();
+        assert_eq!(ingest.batches(), 3);
+        assert_eq!(ingest.report(), &legacy.report);
+        assert_eq!(
+            ingest.report().parse_failures[0].origin.as_deref(),
+            Some("r03.txt")
+        );
+        assert_eq!(
+            ingest.valid_features().to_csv().unwrap(),
+            runs_to_frame(&legacy.valid).to_csv()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -539,153 +629,14 @@ mod tests {
     }
 
     #[test]
-    fn input_batches_degrade_io_errors_like_the_monolith() {
-        let texts = corpus(10);
-        let mut items: Vec<(Option<String>, RawInput)> = texts
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (Some(format!("r{i}.txt")), RawInput::Text(t.clone())))
-            .collect();
-        items.push((
-            Some("gone.txt".into()),
-            RawInput::IoError("could not read file: EIO".into()),
-        ));
-        let legacy = crate::pipeline::load_from_inputs(items.clone());
-        let mut ingest = StreamIngest::new(&StreamConfig {
-            segment_rows: 4,
-            spill: None,
-        })
-        .unwrap();
-        for chunk in items.chunks(3) {
-            ingest.push_input_batch(chunk).unwrap();
-        }
-        assert_eq!(ingest.report(), &legacy.report);
-        assert_eq!(
-            ingest.valid_features().to_csv().unwrap(),
-            runs_to_frame(&legacy.valid).to_csv()
-        );
-    }
-
-    #[test]
-    fn partition_counts_are_split_invariant_and_match_the_stage_graph() {
-        let mut texts = corpus(40);
-        // Spread hardware years and vendors so several partitions exist.
-        for (i, text) in texts.iter_mut().enumerate() {
-            if text.contains("Hardware Availability") {
-                let mut run = linear_test_run(i as u32, 1e6, 60.0, 300.0);
-                run.dates.hw_available =
-                    spec_model::YearMonth::new(2015 + (i as i32 % 5), 3).unwrap();
-                if i % 2 == 0 {
-                    run.system.cpu.name = format!("AMD EPYC {}", 7000 + i);
-                }
-                *text = write_run(&run);
-            }
-        }
-        let mut reference = None;
-        for batch in [1usize, 7, 40] {
-            let mut ingest = StreamIngest::new(&StreamConfig {
-                segment_rows: 16,
-                spill: None,
-            })
-            .unwrap();
-            for chunk in texts.chunks(batch) {
-                ingest.push_batch(chunk).unwrap();
-            }
-            let counts = ingest.partition_counts().clone();
-            // Partition sums reproduce the cascade totals.
-            assert_eq!(
-                counts.values().map(|c| c.raw).sum::<usize>(),
-                ingest.report().raw
-            );
-            assert_eq!(
-                counts.values().map(|c| c.valid).sum::<usize>(),
-                ingest.report().valid
-            );
-            assert_eq!(
-                counts.values().map(|c| c.comparable).sum::<usize>(),
-                ingest.report().comparable
-            );
-            match &reference {
-                None => reference = Some(counts),
-                Some(want) => assert_eq!(&counts, want, "batch={batch}"),
-            }
-        }
-        // And the streamed counts agree with the partitioned stage graph
-        // over the identical corpus.
-        let items: Vec<(Option<String>, String)> =
-            texts.iter().map(|t| (None, t.clone())).collect();
-        let mut driver = crate::stage::PartitionedDriver::new(
-            crate::stage::CorpusSource::Memory(items),
-            spec_ssj::Settings::fast(),
-            7,
-        );
-        let summary = driver.partition_summary().unwrap();
-        let want = reference.unwrap();
-        assert_eq!(summary.len(), want.len());
-        for part in summary {
-            let counts = want.get(&part.key).expect("partition present");
-            assert_eq!(counts.raw, part.reports, "{}", part.key.label());
-            assert_eq!(counts.valid, part.valid, "{}", part.key.label());
-            assert_eq!(counts.comparable, part.comparable, "{}", part.key.label());
-        }
-    }
-
-    #[test]
-    fn stream_rows_reproduce_the_merged_row_order_for_any_batch_split() {
-        let mut texts = corpus(40);
-        for (i, text) in texts.iter_mut().enumerate() {
-            if text.contains("Hardware Availability") {
-                let mut run = linear_test_run(i as u32, 1e6 + i as f64 * 1e3, 60.0, 300.0);
-                run.dates.hw_available =
-                    spec_model::YearMonth::new(2012 + (i as i32 % 4), 5).unwrap();
-                if i % 2 == 0 {
-                    run.system.cpu.name = format!("AMD EPYC {}", 7000 + i);
-                }
-                *text = write_run(&run);
-            }
-        }
-        let items: Vec<(Option<String>, String)> =
-            texts.iter().map(|t| (None, t.clone())).collect();
-        let mut driver = crate::stage::PartitionedDriver::new(
-            crate::stage::CorpusSource::Memory(items),
-            spec_ssj::Settings::fast(),
-            7,
-        );
-        let merged = driver.merged().unwrap();
-        let report = driver.filter_report().unwrap();
-
-        for batch in [1usize, 7, 40] {
-            let mut stream = StreamRows::new();
-            let mut tagged: Vec<(PartKey, u32, bool, RunRow)> = Vec::new();
-            for chunk in texts.chunks(batch) {
-                stream
-                    .push_batch::<_, std::convert::Infallible>(chunk, |key, gidx, comp, row| {
-                        tagged.push((key, gidx, comp, row));
-                        Ok(())
-                    })
-                    .unwrap();
-            }
-            assert_eq!(stream.report(), &report, "batch={batch}");
-            tagged.sort_unstable_by_key(|t| t.1);
-            let valid: Vec<RunRow> = tagged.iter().map(|t| t.3).collect();
-            let comparable: Vec<RunRow> = tagged.iter().filter(|t| t.2).map(|t| t.3).collect();
-            assert_eq!(valid, merged.valid_rows, "batch={batch}");
-            assert_eq!(comparable, merged.comparable_rows, "batch={batch}");
-            // Routed keys agree with the partitioned split.
-            let sums = stream.partition_counts();
-            assert_eq!(
-                sums.values().map(|c| c.valid).sum::<usize>(),
-                merged.valid_rows.len()
-            );
-        }
-    }
-
-    #[test]
     fn stream_rows_sink_errors_propagate() {
         let texts = corpus(10);
         let mut stream = StreamRows::new();
         let err = stream
-            .push_batch(&texts, |_, _, _, _| Err("sink full"))
+            .push(
+                &texts.iter().map(text_ref).collect::<Vec<_>>(),
+                |_, _, _, _| Err("sink full"),
+            )
             .unwrap_err();
         assert_eq!(err, "sink full");
     }

@@ -6,8 +6,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use spec_analysis::serve::{ServeConfig, Server};
@@ -121,6 +121,89 @@ fn watched_dir_refreshes_only_the_touched_partition() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&corpus);
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// A [`spec_vfs::Vfs`] whose first `read_dir` returns the inner listing
+/// and *then* drops one new report into the listed directory — a report
+/// landing while the generation-0 snapshot builds, after the build has
+/// listed the corpus.
+#[derive(Debug)]
+struct LandsDuringListing {
+    inner: RealVfs,
+    report: Mutex<Option<(String, String)>>,
+}
+
+impl spec_vfs::Vfs for LandsDuringListing {
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.inner.read(path)
+    }
+    fn metadata_len(&self, path: &Path) -> std::io::Result<u64> {
+        self.inner.metadata_len(path)
+    }
+    fn read_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+        let listing = self.inner.read_dir(path)?;
+        let landing = self.report.lock().expect("landing lock").take();
+        if let Some((name, text)) = landing {
+            std::fs::write(path.join(name), text)?;
+        }
+        Ok(listing)
+    }
+    fn write(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write(path, data)
+    }
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.sync_file(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.create_dir_all(path)
+    }
+    fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.sync_dir(path)
+    }
+}
+
+#[test]
+fn report_landing_during_the_initial_build_is_served() {
+    let corpus = tmp("landing_corpus");
+    write_corpus(&corpus, 12);
+
+    let mut config = ServeConfig::new(CorpusSource::Dir(corpus.clone()));
+    config.addr = "127.0.0.1:0".to_string();
+    config.settings = Settings::fast();
+    config.threads = 2;
+    config.vfs = Arc::new(LandsDuringListing {
+        inner: RealVfs,
+        report: Mutex::new(Some(("zz_new.txt".to_string(), run_text(500, 2013, false)))),
+    });
+    config.watch = Some(corpus.clone());
+    config.poll_ms = 25;
+    let server = Server::start(config).expect("server starts");
+    let addr = server.addr();
+
+    // Generation 0 listed 12 reports; the 13th landed after the listing,
+    // so the watcher's baseline must not already contain it.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let stats = loop {
+        let (_, stats) = get(addr, "/stats");
+        if stats.contains("raw 13") {
+            break stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "report landed during the build was never served: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    assert!(stats.contains("generation 1"), "{stats}");
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&corpus);
 }
 
 #[test]
