@@ -23,9 +23,12 @@
 //!                                                segmented column store; report
 //!                                                throughput, peak RSS and the
 //!                                                spill gauges. With
-//!                                                --max-resident-mb, cold segments
-//!                                                spill to disk so ×1000 (~1M
-//!                                                reports) runs in bounded memory
+//!                                                --max-resident-mb M, the stores
+//!                                                hold at most M MiB (sealed
+//!                                                segments, open tails, one spill
+//!                                                buffer) and cold segments spill
+//!                                                to disk, so ×1000 (~1M reports)
+//!                                                runs in bounded memory
 //! spec-trends serve [--data DIR] [--addr A] [--cache-dir D] [--poll-ms N]
 //!                   [--scale K] [--max-resident-mb M]
 //!                   [--shard I/N | --fan-out A1,A2,...]
@@ -98,10 +101,14 @@ fn usage() -> ExitCode {
          \x20             replicas, `ingest` streams them without materializing\n\
          \x20             the corpus (corpus-scaling runs at 10k/100k/1M reports\n\
          \x20             without K separate simulations).\n\
-         --max-resident-mb M  (ingest) bound the resident segment set: cold\n\
+         --max-resident-mb M  (ingest) bound the memory the feature stores hold:\n\
+         \x20             resident sealed segments, the open tails and one\n\
+         \x20             in-flight spill buffer stay within M MiB (segments\n\
+         \x20             seal at a quarter of each store's share). Cold\n\
          \x20             segments spill, checksummed, to a temp directory and\n\
-         \x20             reload on demand, so peak memory stays near M plus one\n\
-         \x20             batch regardless of corpus size.\n\
+         \x20             reload on demand. Not covered: the base corpus and the\n\
+         \x20             batch in flight (~23 MiB at --scale 100), so peak RSS\n\
+         \x20             is about M plus that at any corpus size.\n\
          --cache-dir DIR  content-addressed artifact cache; warm runs skip every\n\
          \x20               stage whose inputs are unchanged (figures after analyze\n\
          \x20               re-parses nothing and is byte-identical). Corrupt or\n\
@@ -393,8 +400,9 @@ fn sweep_orphan_scratch(dir: &std::path::Path) -> Vec<PathBuf> {
 /// `--data`, streams the synthetic corpus at `--scale` without ever
 /// materializing it (×1000 ≈ 1M reports in bounded memory); with `--data`,
 /// streams the directory's report files batch-by-batch. `--max-resident-mb`
-/// bounds the resident segment set by spilling cold segments to a
-/// temporary directory (removed on exit).
+/// bounds the memory the feature stores hold — sealed segments, open tails
+/// and one spill buffer — by spilling cold segments to a temporary
+/// directory (removed on exit).
 fn run_ingest(args: &Args) -> spec_diag::Result<()> {
     // Guard, not a bare path: the spill directory is removed on drop even
     // if the stream panics mid-batch.
@@ -451,25 +459,25 @@ fn run_ingest(args: &Args) -> spec_diag::Result<()> {
             seconds,
             report.raw as f64 / seconds.max(1e-9),
         );
-        let (resident, spilled, resident_bytes, spill_bytes) = {
+        let (resident, spilled, occupied, spill_bytes) = {
             let v = ingest.valid_features();
             let (vr, vs, vb, vw) = (
                 v.segments_resident(),
                 v.segments_spilled(),
-                v.resident_bytes(),
+                v.occupied_bytes(),
                 v.spill_bytes_written(),
             );
             let c = ingest.comparable_features();
             (
                 vr + c.segments_resident(),
                 vs + c.segments_spilled(),
-                vb + c.resident_bytes(),
+                vb + c.occupied_bytes(),
                 vw + c.spill_bytes_written(),
             )
         };
         println!(
-            "segments: {resident} resident ({:.1} MiB), {spilled} spilled ({:.1} MiB written)",
-            resident_bytes as f64 / (1024.0 * 1024.0),
+            "segments: {resident} resident + open tails ({:.1} MiB), {spilled} spilled ({:.1} MiB written)",
+            occupied as f64 / (1024.0 * 1024.0),
             spill_bytes as f64 / (1024.0 * 1024.0),
         );
         if let Some(kb) = spec_obs::peak_rss_kb() {

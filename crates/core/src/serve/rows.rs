@@ -348,9 +348,7 @@ impl RowStore {
         self.parts
             .iter()
             .map(|p| {
-                p.frame.resident_bytes()
-                    + p.frame.tail_bytes()
-                    + p.pending.capacity() * std::mem::size_of::<TaggedRow>()
+                p.frame.occupied_bytes() + p.pending.capacity() * std::mem::size_of::<TaggedRow>()
             })
             .sum()
     }

@@ -10,9 +10,9 @@
 //!
 //! * [`StreamIngest`] renders survivors into segment-sized feature frames
 //!   adopted into two [`SegFrame`] stores (stage-1-valid and comparable
-//!   runs). With spill enabled the stores evict cold segments through
-//!   `spec-vfs`, so peak memory is the batch size plus the resident-set
-//!   budget regardless of corpus scale.
+//!   runs). With spill enabled the stores size their segments from the
+//!   budget and evict cold ones through `spec-vfs`, so peak memory is the
+//!   batch in flight plus the budget regardless of corpus scale.
 //! * [`StreamRows`] routes every survivor's [`RunRow`] to its (year,
 //!   vendor) partition — the serve daemon's out-of-core snapshot build.
 //!
@@ -50,14 +50,17 @@ pub struct SpillConfig {
     /// Directory for spilled segments; `valid/` and `comparable/` subdirs
     /// are created beneath it.
     pub dir: PathBuf,
-    /// Combined resident-bytes budget across both feature stores.
+    /// Combined memory budget across both feature stores, covering each
+    /// store's resident sealed segments, open tail and spill buffer (see
+    /// [`SegFrame::enable_spill`]).
     pub max_resident_bytes: usize,
 }
 
 /// Configuration for [`StreamIngest`].
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
-    /// Rows per sealed segment in the feature stores.
+    /// Cap on rows per sealed segment in the feature stores. A spilling
+    /// store seals sooner, at a quarter of its budget share.
     pub segment_rows: usize,
     /// Spill cold segments through `spec-vfs` when set; otherwise every
     /// segment stays resident.
@@ -639,6 +642,88 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, "sink full");
+    }
+
+    /// The CLI's shape — the 64Ki-row `DEFAULT_SEGMENT_ROWS` cap with a
+    /// small byte budget — spills at test scale, because a spilling
+    /// store sizes its segments from the budget. Every batch split at
+    /// every thread count stays within the budget plus one segment per
+    /// store after every batch and yields the same features, report and
+    /// segment boundaries.
+    #[test]
+    fn cli_shaped_budget_spills_and_is_split_and_thread_invariant() {
+        let texts = corpus(60);
+        let legacy = load_from_texts(&texts);
+        let want_valid = runs_to_frame(&legacy.valid).to_csv();
+        let want_comp = runs_to_frame(&legacy.comparable).to_csv();
+        let budget = 8 * 1024;
+        let row: usize = runs_to_frame(&[])
+            .columns_iter()
+            .map(|c| c.dtype().cell_bytes())
+            .sum();
+        let bound = budget + budget / 4 + 2 * row;
+        let boundaries = |seg: &mut SegFrame| {
+            let mut rows = Vec::new();
+            seg.for_each_segment(|s| {
+                rows.push(s.n_rows());
+                Ok(())
+            })
+            .unwrap();
+            rows
+        };
+        let mut reference = None;
+        for batch in [1, 7, texts.len()] {
+            for threads in [1, 2, 8] {
+                let case = format!("batch={batch} threads={threads}");
+                let dir = std::env::temp_dir().join(format!(
+                    "spec_stream_cli_budget_{}_{batch}_{threads}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                Pool::new(threads).install(|| {
+                    let mut ingest = StreamIngest::new(&StreamConfig {
+                        segment_rows: DEFAULT_SEGMENT_ROWS,
+                        spill: Some(SpillConfig {
+                            dir: dir.clone(),
+                            max_resident_bytes: budget,
+                        }),
+                    })
+                    .unwrap();
+                    for chunk in texts.chunks(batch) {
+                        ingest.push_batch(chunk).unwrap();
+                        let held = ingest.valid_features().occupied_bytes()
+                            + ingest.comparable_features().occupied_bytes();
+                        assert!(held <= bound, "{case}: {held} > {bound}");
+                    }
+                    assert!(ingest.valid_features().segments_spilled() > 0, "{case}");
+                    assert!(
+                        ingest.comparable_features().segments_spilled() > 0,
+                        "{case}"
+                    );
+                    assert_eq!(ingest.report(), &legacy.report, "{case}");
+                    assert_eq!(
+                        ingest.valid_features().to_csv().unwrap(),
+                        want_valid,
+                        "{case}"
+                    );
+                    assert_eq!(
+                        ingest.comparable_features().to_csv().unwrap(),
+                        want_comp,
+                        "{case}"
+                    );
+                    let got = (
+                        boundaries(ingest.valid_features()),
+                        boundaries(ingest.comparable_features()),
+                    );
+                    assert!(got.0.len() > 2, "{case}: segments follow the budget");
+                    match &reference {
+                        None => reference = Some(got),
+                        Some(want) => assert_eq!(&got, want, "{case}"),
+                    }
+                });
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,18 @@ impl DType {
             DType::Sym => "sym",
         }
     }
+
+    /// Bytes one cell occupies in its column's buffer (a `Str` cell's
+    /// `String` header; its contents live in a separate allocation).
+    pub fn cell_bytes(self) -> usize {
+        match self {
+            DType::F64 => std::mem::size_of::<f64>(),
+            DType::I64 => std::mem::size_of::<i64>(),
+            DType::Str => std::mem::size_of::<String>(),
+            DType::Bool => std::mem::size_of::<bool>(),
+            DType::Sym => std::mem::size_of::<Sym>(),
+        }
+    }
 }
 
 /// A dynamically typed cell value, used at API boundaries (group keys,
@@ -294,19 +306,37 @@ impl Column {
         }
     }
 
-    /// Approximate heap bytes this column's data occupies — the segmented
-    /// store's resident-set accounting. String cells charge their length
-    /// plus the `String` header; everything else is element size × rows.
+    /// Heap bytes this column's buffers hold — the segmented store's
+    /// resident-set accounting. Charged by capacity, not length, so a
+    /// column grown by `extend` carries its growth slack into the count;
+    /// string cells add their own buffer capacity.
     pub fn heap_bytes(&self) -> usize {
+        let cells = self.capacity() * self.dtype().cell_bytes();
         match self {
-            Column::F64(v) => v.len() * 8,
-            Column::I64(v) => v.len() * 8,
-            Column::Bool(v) => v.len(),
-            Column::Sym(v) => v.len() * std::mem::size_of::<Sym>(),
-            Column::Str(v) => v
-                .iter()
-                .map(|s| s.len() + std::mem::size_of::<String>())
-                .sum(),
+            Column::Str(v) => cells + v.iter().map(String::capacity).sum::<usize>(),
+            _ => cells,
+        }
+    }
+
+    /// Rows the column can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        match self {
+            Column::F64(v) => v.capacity(),
+            Column::I64(v) => v.capacity(),
+            Column::Str(v) => v.capacity(),
+            Column::Bool(v) => v.capacity(),
+            Column::Sym(v) => v.capacity(),
+        }
+    }
+
+    /// Release capacity beyond `len()`.
+    pub fn shrink_to_fit(&mut self) {
+        match self {
+            Column::F64(v) => v.shrink_to_fit(),
+            Column::I64(v) => v.shrink_to_fit(),
+            Column::Str(v) => v.shrink_to_fit(),
+            Column::Bool(v) => v.shrink_to_fit(),
+            Column::Sym(v) => v.shrink_to_fit(),
         }
     }
 

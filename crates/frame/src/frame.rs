@@ -247,6 +247,12 @@ impl Frame {
 
     /// Append all rows of another frame with identical schema.
     pub fn vstack(&mut self, other: &Frame) -> Result<()> {
+        self.extend_rows(other, 0, other.n_rows())
+    }
+
+    /// Append rows `[start, end)` of another frame with identical schema,
+    /// copying straight from `other` (no intermediate [`Frame::slice`]).
+    pub fn extend_rows(&mut self, other: &Frame, start: usize, end: usize) -> Result<()> {
         if self.names != other.names {
             return Err(FrameError::Csv(format!(
                 "schema mismatch: {:?} vs {:?}",
@@ -255,11 +261,11 @@ impl Frame {
         }
         for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
             match (mine, theirs) {
-                (Column::F64(a), Column::F64(b)) => a.extend_from_slice(b),
-                (Column::I64(a), Column::I64(b)) => a.extend_from_slice(b),
-                (Column::Str(a), Column::Str(b)) => a.extend_from_slice(b),
-                (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
-                (Column::Sym(a), Column::Sym(b)) => a.extend_from_slice(b),
+                (Column::F64(a), Column::F64(b)) => a.extend_from_slice(&b[start..end]),
+                (Column::I64(a), Column::I64(b)) => a.extend_from_slice(&b[start..end]),
+                (Column::Str(a), Column::Str(b)) => a.extend_from_slice(&b[start..end]),
+                (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(&b[start..end]),
+                (Column::Sym(a), Column::Sym(b)) => a.extend_from_slice(&b[start..end]),
                 (mine, theirs) => {
                     return Err(FrameError::TypeMismatch {
                         column: "vstack".into(),
@@ -270,6 +276,13 @@ impl Frame {
             }
         }
         Ok(())
+    }
+
+    /// Release every column's capacity beyond `n_rows()`.
+    pub fn shrink_to_fit(&mut self) {
+        for col in &mut self.columns {
+            col.shrink_to_fit();
+        }
     }
 
     /// One row as dynamic values (column order).

@@ -72,13 +72,53 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 /// Encode a frame segment to bytes.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u32(&mut out, frame.n_cols() as u32);
+    encode_frame_into(frame, &mut out);
+    out
+}
+
+/// Append the encoding of `frame` to `out`. The exact payload length is
+/// reserved up front, so the buffer is allocated once and never carries
+/// growth slack — the spill store encodes straight behind its header.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    // Per-segment dictionary of every `Sym` column, in first-use order of
+    // the *resolved* strings.
+    let dicts: Vec<Vec<spec_intern::Sym>> = frame
+        .columns_iter()
+        .map(|col| {
+            let mut dict = Vec::new();
+            if let Column::Sym(v) = col {
+                for &sym in v {
+                    if !dict.contains(&sym) {
+                        dict.push(sym);
+                    }
+                }
+            }
+            dict
+        })
+        .collect();
+    let rows = frame.n_rows();
+    let header: usize = frame.names().iter().map(|n| 4 + n.len() + 1).sum();
+    let body: usize = frame
+        .columns_iter()
+        .zip(&dicts)
+        .map(|(col, dict)| match col {
+            Column::F64(_) | Column::I64(_) => rows * 8,
+            Column::Bool(_) => rows,
+            Column::Str(v) => v.iter().map(|s| 4 + s.len()).sum(),
+            Column::Sym(_) => {
+                4 + dict.iter().map(|d| 4 + d.resolve().len()).sum::<usize>() + rows * 4
+            }
+        })
+        .sum();
+    out.reserve_exact(4 + header + 8 + body);
+
+    put_u32(out, frame.n_cols() as u32);
     for (name, col) in frame.names().iter().zip(frame.columns_iter()) {
-        put_bytes(&mut out, name.as_bytes());
+        put_bytes(out, name.as_bytes());
         out.push(dtype_tag(col.dtype()));
     }
-    out.extend_from_slice(&(frame.n_rows() as u64).to_le_bytes());
-    for col in frame.columns_iter() {
+    out.extend_from_slice(&(rows as u64).to_le_bytes());
+    for (col, dict) in frame.columns_iter().zip(&dicts) {
         match col {
             Column::F64(v) => {
                 for x in v {
@@ -92,7 +132,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             }
             Column::Str(v) => {
                 for s in v {
-                    put_bytes(&mut out, s.as_bytes());
+                    put_bytes(out, s.as_bytes());
                 }
             }
             Column::Bool(v) => {
@@ -101,31 +141,17 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 }
             }
             Column::Sym(v) => {
-                // Per-segment dictionary in first-use order of the
-                // *resolved* strings.
-                let mut dict: Vec<spec_intern::Sym> = Vec::new();
-                let mut ids: Vec<u32> = Vec::with_capacity(v.len());
-                for &sym in v {
-                    let id = match dict.iter().position(|&d| d == sym) {
-                        Some(i) => i as u32,
-                        None => {
-                            dict.push(sym);
-                            (dict.len() - 1) as u32
-                        }
-                    };
-                    ids.push(id);
+                put_u32(out, dict.len() as u32);
+                for sym in dict {
+                    put_bytes(out, sym.resolve().as_bytes());
                 }
-                put_u32(&mut out, dict.len() as u32);
-                for sym in &dict {
-                    put_bytes(&mut out, sym.resolve().as_bytes());
-                }
-                for id in ids {
-                    put_u32(&mut out, id);
+                for sym in v {
+                    let id = dict.iter().position(|d| d == sym).expect("sym in dict");
+                    put_u32(out, id as u32);
                 }
             }
         }
     }
-    out
 }
 
 struct Reader<'a> {
@@ -296,6 +322,19 @@ mod tests {
         assert_eq!(g.strs("os").unwrap(), f.strs("os").unwrap());
         assert_eq!(g.bools("ok").unwrap(), f.bools("ok").unwrap());
         assert_eq!(g.syms("vendor").unwrap(), f.syms("vendor").unwrap());
+    }
+
+    #[test]
+    fn encoding_reserves_its_exact_length() {
+        let bytes = encode_frame(&sample());
+        assert_eq!(bytes.capacity(), bytes.len(), "no growth slack");
+        let mut behind = vec![0xAB; 5];
+        encode_frame_into(&sample(), &mut behind);
+        assert_eq!(
+            &behind[5..],
+            bytes.as_slice(),
+            "appends after existing bytes"
+        );
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   segment-list splice ([`SegFrame::splice`]) instead of a `vstack` copy;
 //! * cold segments can be evicted to a [`SegmentStore`] and transparently
 //!   reloaded — an LRU policy bounds resident bytes, so corpus size no
-//!   longer bounds RSS;
+//!   longer bounds RSS (see [`SegFrame::enable_spill`] for what the budget
+//!   covers);
 //! * aggregation streams over one segment at a time
 //!   ([`SegFrame::group_agg`]) without ever materialising the full table.
 //!
@@ -34,7 +35,7 @@ use crate::csv::{append_data_rows, append_header_line};
 use crate::error::{FrameError, Result};
 use crate::frame::Frame;
 use crate::groupby::{rebuild_key_column, Agg};
-use crate::segcodec::{decode_frame, encode_frame};
+use crate::segcodec::decode_frame;
 use crate::spill::SegmentStore;
 
 /// Target rows per sealed segment (64Ki).
@@ -67,7 +68,7 @@ fn gauge_shift(resident: i64, spilled: i64) {
     publish_gauges();
 }
 
-/// Approximate heap bytes a frame's data occupies while resident.
+/// Heap bytes a frame's column buffers hold (capacity, not length).
 fn frame_heap_bytes(frame: &Frame) -> usize {
     frame.columns_iter().map(Column::heap_bytes).sum()
 }
@@ -91,7 +92,8 @@ struct Spill {
 }
 
 /// A table stored as a list of immutable row segments plus an open tail
-/// that [`SegFrame::append_frame`] fills and seals at `segment_rows`.
+/// that [`SegFrame::append_frame`] fills and seals at `segment_rows` (and,
+/// once spilling, at a quarter of the resident budget).
 #[derive(Debug)]
 pub struct SegFrame {
     names: Vec<String>,
@@ -99,6 +101,9 @@ pub struct SegFrame {
     segment_rows: usize,
     slots: Vec<Slot>,
     tail: Option<Frame>,
+    /// Seal-rule bytes of the tail's rows (cell widths plus string
+    /// contents), tracked while spilling.
+    tail_fill: usize,
     clock: u64,
     spill: Option<Spill>,
     spill_bytes_written: u64,
@@ -113,6 +118,7 @@ impl SegFrame {
             segment_rows: segment_rows.max(1),
             slots: Vec::new(),
             tail: None,
+            tail_fill: 0,
             clock: 0,
             spill: None,
             spill_bytes_written: 0,
@@ -152,7 +158,7 @@ impl SegFrame {
         self.slots.iter().filter(|s| s.frame.is_none()).count()
     }
 
-    /// Approximate heap bytes of resident sealed segments.
+    /// Heap bytes held by resident sealed segments.
     pub fn resident_bytes(&self) -> usize {
         self.slots
             .iter()
@@ -161,12 +167,17 @@ impl SegFrame {
             .sum()
     }
 
-    /// Approximate heap bytes of the open (unsealed) tail segment. Not
-    /// part of [`Self::resident_bytes`] — the tail is never a spill
-    /// victim — but callers reporting total memory occupancy should add
-    /// it: a store whose appends all fit one tail would otherwise read 0.
+    /// Heap bytes held by the open (unsealed) tail segment. Not part of
+    /// [`Self::resident_bytes`] — the tail is never a spill victim — but
+    /// it counts toward a spilling store's budget.
     pub fn tail_bytes(&self) -> usize {
         self.tail.as_ref().map(frame_heap_bytes).unwrap_or(0)
+    }
+
+    /// Heap bytes the store holds in memory: resident sealed segments plus
+    /// the open tail.
+    pub fn occupied_bytes(&self) -> usize {
+        self.resident_bytes() + self.tail_bytes()
     }
 
     /// Cumulative encoded bytes this store has written to its spill store.
@@ -225,46 +236,86 @@ impl SegFrame {
         f
     }
 
+    /// A spilling store's open tail seals once its rows charge a quarter
+    /// of the budget; `None` when no spill store is attached.
+    fn seal_target(&self) -> Option<usize> {
+        self.spill.as_ref().map(|s| s.max_resident_bytes / 4)
+    }
+
+    /// How many rows of `chunk` from `from` the open tail takes next, its
+    /// fill afterwards, and whether it then seals. Every store seals at
+    /// `segment_rows`; a spilling store also seals at the first row that
+    /// brings the fill to [`Self::seal_target`]. The rule reads row
+    /// contents and the budget only — never buffer capacities — so segment
+    /// boundaries are the same for any chunking of the same rows.
+    fn tail_take(&self, chunk: &Frame, from: usize) -> (usize, usize, bool) {
+        let rows = self.tail.as_ref().map_or(0, Frame::n_rows);
+        let max = (self.segment_rows - rows).min(chunk.n_rows() - from);
+        let Some(target) = self.seal_target() else {
+            return (max, 0, rows + max == self.segment_rows);
+        };
+        let fixed: usize = self.dtypes.iter().map(|d| d.cell_bytes()).sum();
+        let strs: Vec<&[String]> = chunk.columns_iter().filter_map(Column::as_str).collect();
+        let (mut take, mut fill) = (0, self.tail_fill);
+        while take < max && (fill < target || rows + take == 0) {
+            fill += fixed + strs.iter().map(|col| col[from + take].len()).sum::<usize>();
+            take += 1;
+        }
+        (
+            take,
+            fill,
+            rows + take == self.segment_rows || fill >= target,
+        )
+    }
+
     /// Append rows, filling the open tail and sealing full segments.
     pub fn append_frame(&mut self, chunk: Frame) -> Result<()> {
         if chunk.n_cols() == 0 {
             return Ok(());
         }
         self.adopt_or_check_schema(&chunk)?;
-        // Fast path: a chunk that fits an empty tail moves in without a
-        // row copy.
-        if self.tail.is_none() && chunk.n_rows() <= self.segment_rows {
-            let full = chunk.n_rows() == self.segment_rows;
+        let total = chunk.n_rows();
+        let (take, fill, seals) = self.tail_take(&chunk, 0);
+        if self.tail.is_none() && take == total {
+            // Fast path: a chunk that fits an empty tail moves in without a
+            // row copy.
             self.tail = Some(chunk);
-            if full {
+            self.tail_fill = fill;
+            if seals {
                 self.seal_tail()?;
             }
-            return Ok(());
+            return self.enforce_budget(None);
         }
-        let total = chunk.n_rows();
         let mut offset = 0;
         while offset < total {
-            if self.tail.is_none() {
-                self.tail = Some(self.empty_frame());
-            }
-            let room = {
-                let tail = self.tail.as_mut().expect("just ensured");
-                let room = self.segment_rows - tail.n_rows();
-                let take = room.min(total - offset);
-                tail.vstack(&chunk.slice(offset, offset + take))?;
+            let (take, fill, seals) = self.tail_take(&chunk, offset);
+            if take > 0 {
+                if self.tail.is_none() {
+                    self.tail = Some(self.empty_frame());
+                }
+                self.tail
+                    .as_mut()
+                    .expect("just ensured")
+                    .extend_rows(&chunk, offset, offset + take)?;
+                self.tail_fill = fill;
                 offset += take;
-                room - take
-            };
-            if room == 0 {
+            }
+            if seals {
                 self.seal_tail()?;
             }
         }
-        Ok(())
+        self.enforce_budget(None)
     }
 
     fn seal_tail(&mut self) -> Result<()> {
-        if let Some(tail) = self.tail.take() {
+        self.tail_fill = 0;
+        if let Some(mut tail) = self.tail.take() {
             if tail.n_rows() > 0 {
+                if self.spill.is_some() {
+                    // Sealed segments are charged at the heap they hold:
+                    // give back any growth slack the tail carried.
+                    tail.shrink_to_fit();
+                }
                 self.push_sealed_inner(tail)?;
             }
         }
@@ -326,8 +377,18 @@ impl SegFrame {
         self.enforce_budget(None)
     }
 
-    /// Attach a spill store and bound resident sealed-segment bytes.
-    /// Existing segments beyond the budget are evicted immediately.
+    /// Attach a spill store and bound what the store holds in memory —
+    /// resident sealed segments, the open tail and the one encode buffer
+    /// an eviction allocates — to `max_resident_bytes`.
+    ///
+    /// From here on the tail seals at a quarter of the budget (or at
+    /// `segment_rows`, if sooner), another quarter is held back for the
+    /// eviction buffer, and sealed segments share the rest, least recently
+    /// used out first. Not covered: the chunk the caller is appending, and
+    /// a segment sealed before spilling that is larger than the budget
+    /// (it stays resident while a walk reads it). A non-empty tail seals
+    /// now, so it can be evicted; segments beyond the budget are evicted
+    /// immediately.
     pub fn enable_spill(
         &mut self,
         store: Arc<dyn SegmentStore>,
@@ -338,6 +399,7 @@ impl SegFrame {
             max_resident_bytes,
             next_id: 0,
         });
+        self.seal_tail()?;
         self.enforce_budget(None)
     }
 
@@ -356,27 +418,33 @@ impl SegFrame {
             let spill = self.spill.as_mut().expect("evict requires spill");
             let id = spill.next_id;
             spill.next_id += 1;
-            let payload = encode_frame(&frame);
-            if let Err(e) = spill.store.store(id, &payload) {
-                // Failed spill: keep the segment resident and surface the
-                // error; the store stays consistent.
-                self.slots[i].frame = Some(frame);
-                return Err(FrameError::Spill(format!("storing segment: {e}")));
-            }
+            let written = match spill.store.store_frame(id, &frame) {
+                Ok(written) => written,
+                Err(e) => {
+                    // Failed spill: keep the segment resident and surface
+                    // the error; the store stays consistent.
+                    self.slots[i].frame = Some(frame);
+                    return Err(FrameError::Spill(format!("storing segment: {e}")));
+                }
+            };
             self.slots[i].spill_id = Some(id);
-            self.spill_bytes_written += payload.len() as u64;
-            SPILL_BYTES.fetch_add(payload.len() as i64, Ordering::Relaxed);
+            self.spill_bytes_written += written as u64;
+            SPILL_BYTES.fetch_add(written as i64, Ordering::Relaxed);
         }
         gauge_shift(-1, 1);
         Ok(())
     }
 
     fn enforce_budget(&mut self, keep: Option<usize>) -> Result<()> {
-        let Some(spill) = &self.spill else {
+        let (Some(spill), Some(target)) = (&self.spill, self.seal_target()) else {
             return Ok(());
         };
         let budget = spill.max_resident_bytes;
-        while self.resident_bytes() > budget {
+        // The tail is charged at least the target it seals at, however
+        // empty, and one more target is held for the eviction's encode
+        // buffer; resident sealed segments get what is left.
+        let held = self.tail_bytes().max(target) + target;
+        while self.resident_bytes() + held > budget {
             let victim = self
                 .slots
                 .iter()
@@ -404,6 +472,8 @@ impl SegFrame {
             .load(id)
             .map_err(|e| FrameError::Spill(format!("loading segment: {e}")))?;
         let frame = decode_frame(&payload)?;
+        // Free the encoded copy before `enforce_budget` encodes another.
+        drop(payload);
         if frame.n_rows() != self.slots[i].rows {
             return Err(FrameError::Spill(format!(
                 "segment {id} decoded to {} rows, expected {}",
@@ -411,6 +481,7 @@ impl SegFrame {
                 self.slots[i].rows
             )));
         }
+        self.slots[i].bytes = frame_heap_bytes(&frame);
         self.slots[i].frame = Some(frame);
         gauge_shift(1, -1);
         self.enforce_budget(Some(i))
@@ -790,6 +861,50 @@ mod tests {
         let got = seg.group_agg(&["year"], &specs).unwrap();
         assert_eq!(got.to_csv(), expected.to_csv());
         assert!(seg.resident_bytes() <= budget);
+    }
+
+    #[test]
+    fn sealed_segments_are_charged_the_heap_they_hold() {
+        let rows = sample(10);
+        let row_bytes = 8 + 4 + 8 + 1;
+        // Grown row by row, an unspilled tail seals with doubling slack,
+        // and the slack is charged.
+        let mut seg = SegFrame::new(10);
+        for i in 0..10 {
+            seg.append_frame(rows.slice(i, i + 1)).unwrap();
+        }
+        assert_eq!(seg.n_segments(), 1);
+        assert!(
+            seg.resident_bytes() > 10 * row_bytes,
+            "{}",
+            seg.resident_bytes()
+        );
+        // A spilling tail seals at exactly the heap its rows need.
+        let mut seg = SegFrame::new(10);
+        seg.enable_spill(Arc::new(MemSegmentStore::new()), 1 << 20)
+            .unwrap();
+        for i in 0..10 {
+            seg.append_frame(rows.slice(i, i + 1)).unwrap();
+        }
+        assert_eq!(seg.n_segments(), 1);
+        assert_eq!(seg.resident_bytes(), 10 * row_bytes);
+    }
+
+    #[test]
+    fn spilling_tail_seals_at_a_quarter_of_the_budget_and_counts() {
+        let row_bytes = 8 + 4 + 8 + 1;
+        let budget = 40 * row_bytes;
+        let mut seg = SegFrame::new(DEFAULT_SEGMENT_ROWS);
+        seg.enable_spill(Arc::new(MemSegmentStore::new()), budget)
+            .unwrap();
+        seg.append_frame(sample(95)).unwrap();
+        // Ten-row segments, five-row tail; the tail and the eviction
+        // buffer each hold a quarter back, so two segments stay resident.
+        assert_eq!(seg.n_segments(), 9);
+        assert!(seg.tail_bytes() >= 5 * row_bytes);
+        assert_eq!(seg.resident_bytes(), 2 * 10 * row_bytes);
+        assert!(seg.occupied_bytes() <= budget);
+        assert_same_table(&seg.to_frame().unwrap(), &sample(95));
     }
 
     #[test]

@@ -16,7 +16,8 @@ use std::sync::Arc;
 
 use spec_vfs::Vfs;
 
-use crate::segcodec::fnv128;
+use crate::frame::Frame;
+use crate::segcodec::{encode_frame, encode_frame_into, fnv128};
 
 /// Magic prefix of a spill file (`SPill SeGment v1`).
 const MAGIC: &[u8; 8] = b"SPSEG1\0\0";
@@ -30,6 +31,16 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 pub trait SegmentStore: Send + Sync + std::fmt::Debug {
     /// Persist a segment payload under `id` (overwrites).
     fn store(&self, id: u64, payload: &[u8]) -> io::Result<()>;
+
+    /// Encode `frame` and persist it under `id`, returning the payload
+    /// length. The default encodes into a buffer and calls
+    /// [`Self::store`]; a store that frames the payload itself can encode
+    /// in place instead.
+    fn store_frame(&self, id: u64, frame: &Frame) -> io::Result<usize> {
+        let payload = encode_frame(frame);
+        self.store(id, &payload)?;
+        Ok(payload.len())
+    }
 
     /// Load and verify the payload stored under `id`.
     fn load(&self, id: u64) -> io::Result<Vec<u8>>;
@@ -87,15 +98,9 @@ impl VfsSegmentStore {
             .vfs
             .write(Path::new(&sidecar), reason.as_bytes());
     }
-}
 
-impl SegmentStore for VfsSegmentStore {
-    fn store(&self, id: u64, payload: &[u8]) -> io::Result<()> {
-        let mut file = Vec::with_capacity(HEADER_LEN + payload.len());
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&fnv128(payload).to_le_bytes());
-        file.extend_from_slice(payload);
+    /// Publish a framed spill file under `id`.
+    fn publish(&self, id: u64, file: &[u8]) -> io::Result<()> {
         // Spill segments are process-transient scratch: if we crash they are
         // useless, so `atomic_write`'s fsync + read-back verification would
         // only add latency. Tmp-then-rename keeps readers from ever seeing a
@@ -105,15 +110,44 @@ impl SegmentStore for VfsSegmentStore {
         let mut tmp = path.clone().into_os_string();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
-        self.vfs.write(&tmp, &file)?;
+        self.vfs.write(&tmp, file)?;
         self.vfs.rename(&tmp, &path).inspect_err(|_| {
             let _ = self.vfs.remove_file(&tmp);
         })
     }
+}
+
+/// Write the integrity header of `file[HEADER_LEN..]` into its first
+/// `HEADER_LEN` bytes: magic, payload length, FNV-1a-128 checksum.
+fn backfill_header(file: &mut [u8]) {
+    let (header, payload) = file.split_at_mut(HEADER_LEN);
+    header[..8].copy_from_slice(MAGIC);
+    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[16..].copy_from_slice(&fnv128(payload).to_le_bytes());
+}
+
+impl SegmentStore for VfsSegmentStore {
+    fn store(&self, id: u64, payload: &[u8]) -> io::Result<()> {
+        let mut file = Vec::with_capacity(HEADER_LEN + payload.len());
+        file.resize(HEADER_LEN, 0);
+        file.extend_from_slice(payload);
+        backfill_header(&mut file);
+        self.publish(id, &file)
+    }
+
+    /// Encode behind a reserved header and backfill it, so the file
+    /// buffer is the only copy of the payload an eviction allocates.
+    fn store_frame(&self, id: u64, frame: &Frame) -> io::Result<usize> {
+        let mut file = vec![0; HEADER_LEN];
+        encode_frame_into(frame, &mut file);
+        backfill_header(&mut file);
+        self.publish(id, &file)?;
+        Ok(file.len() - HEADER_LEN)
+    }
 
     fn load(&self, id: u64) -> io::Result<Vec<u8>> {
         let path = self.seg_path(id);
-        let bytes = self.vfs.read_verified(&path)?;
+        let mut bytes = self.vfs.read_verified(&path)?;
         let corrupt = |reason: String| -> io::Error {
             self.quarantine(&path, &reason);
             io::Error::new(
@@ -146,7 +180,9 @@ impl SegmentStore for VfsSegmentStore {
         if fnv128(payload) != expected {
             return Err(corrupt("checksum mismatch".into()));
         }
-        Ok(payload.to_vec())
+        // Strip the header in place rather than copying the payload out.
+        bytes.drain(..HEADER_LEN);
+        Ok(bytes)
     }
 
     fn remove(&self, id: u64) {
@@ -224,6 +260,25 @@ mod tests {
         assert_eq!(s.load(7).unwrap(), b"payload bytes");
         s.remove(7);
         assert!(s.load(7).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_frame_writes_the_same_file_as_store() {
+        let (s, dir) = store("store_frame");
+        let frame = Frame::from_columns([
+            ("x", crate::Column::from(vec![1.5, f64::NAN])),
+            ("v", crate::Column::Sym(vec![spec_intern::intern("AMD"); 2])),
+        ])
+        .unwrap();
+        let payload = encode_frame(&frame);
+        s.store(1, &payload).unwrap();
+        assert_eq!(s.store_frame(2, &frame).unwrap(), payload.len());
+        assert_eq!(
+            std::fs::read(s.seg_path(1)).unwrap(),
+            std::fs::read(s.seg_path(2)).unwrap()
+        );
+        assert_eq!(s.load(2).unwrap(), payload);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

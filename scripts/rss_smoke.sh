@@ -5,14 +5,16 @@
 #
 #   ./scripts/rss_smoke.sh [scale] [max_resident_mb] [rss_limit_mib]
 #
-# Defaults: scale 100, 96 MiB resident budget, 256 MiB RSS ceiling — the
-# same bound BENCH_ingest.json holds at ×1000 (see EXPERIMENTS.md).
+# Defaults: scale 100, 8 MiB budget, 48 MiB RSS ceiling — the shape of the
+# repository benchmark's ingest_x100 workload. The budget covers the
+# segment stores (sealed segments, open tails, one spill buffer); the rest
+# of the ceiling is the base corpus and the batch in flight (~23 MiB).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALE="${1:-100}"
-MAX_RESIDENT_MB="${2:-96}"
-RSS_LIMIT_MIB="${3:-256}"
+MAX_RESIDENT_MB="${2:-8}"
+RSS_LIMIT_MIB="${3:-48}"
 
 cargo build --release -p spec-trends
 
