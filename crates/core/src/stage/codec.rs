@@ -23,6 +23,7 @@ use spec_model::{
 };
 use tinystats::{BoxStats, CorrelationMatrix, LinearFit, MannKendall, TheilSen};
 
+use super::cache::{Fnv128, Hash128};
 use crate::correlation::{IdleCorrelationReport, VendorStats};
 use crate::figures::common::RunRow;
 use crate::figures::{fig1, fig2, fig3, fig4, fig5, fig6};
@@ -113,6 +114,25 @@ pub fn encode_to_vec<T: Codec>(value: &T) -> Vec<u8> {
     let mut w = Writer::new();
     value.encode(&mut w);
     w.into_bytes()
+}
+
+/// FNV-128 of `encode_to_vec(&items.to_vec())` and its length, without
+/// building that buffer: the length prefix and then each item are encoded
+/// into one reused scratch buffer and hashed as they come, so a corpus is
+/// hashed with one item's encoding in memory rather than all of them.
+pub fn hash_encoded_vec<T: Codec>(items: &[T]) -> (Hash128, usize) {
+    let mut h = Fnv128::new();
+    let mut w = Writer::new();
+    let mut bytes = 0;
+    items.len().encode(&mut w);
+    for item in items {
+        item.encode(&mut w);
+        h.update(&w.buf);
+        bytes += w.buf.len();
+        w.buf.clear();
+    }
+    h.update(&w.buf);
+    (h.finish(), bytes + w.buf.len())
 }
 
 /// Decode a value from a standalone byte vector, requiring full consumption.
@@ -1012,6 +1032,21 @@ mod tests {
         let bytes = encode_to_vec(value);
         let back: T = decode_from_slice(&bytes).expect("decode");
         assert_eq!(&back, value);
+    }
+
+    #[test]
+    fn streamed_vec_hash_equals_hash_of_the_encoding() {
+        use crate::pipeline::RawInput;
+        use crate::stage::cache::fnv128;
+        let corpus: Vec<(String, RawInput)> = vec![
+            ("a.txt".into(), RawInput::Text("SPECpower_ssj2008 = 1234".into())),
+            ("b.txt".into(), RawInput::IoError("permission denied".into())),
+            ("c.txt".into(), RawInput::Text(String::new())),
+        ];
+        for items in [&corpus[..0], &corpus[..1], &corpus[..]] {
+            let encoded = encode_to_vec(&items.to_vec());
+            assert_eq!(hash_encoded_vec(items), (fnv128(&encoded), encoded.len()));
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use super::artifact::{
     ValidateArtifact,
 };
 use super::cache::{fnv128, ArtifactCache, Fnv128, Hash128};
-use super::codec::{encode_to_vec, Codec};
+use super::codec::{encode_to_vec, hash_encoded_vec, Codec};
 use super::graph::{
     ComparableStage, DeriveStage, ExportDataStage, ExportFiguresStage, Fig1Stage, Fig2Stage,
     Fig3Stage, Fig4Stage, Fig5Stage, Fig6Stage, Stage, StageId, ValidateStage,
@@ -346,15 +346,14 @@ impl PipelineDriver {
                 // source; the content hash doubles as the cache key input.
                 let mut sp = obs::span(StageId::Ingest.name());
                 let artifact = self.read_dir_corpus(&dir)?;
-                let payload = encode_to_vec(&artifact);
-                let h = fnv128(&payload);
+                let (h, out_bytes) = hash_encoded_vec(&artifact.items);
                 self.stat_mut(StageId::Ingest).executed += 1;
                 if obs::enabled() {
-                    self.sizes.insert(StageId::Ingest, payload.len());
+                    self.sizes.insert(StageId::Ingest, out_bytes);
                     sp.record("kind", "stage");
                     sp.record("outcome", "computed");
                     sp.record("files", artifact.items.len());
-                    sp.record("out_bytes", payload.len());
+                    sp.record("out_bytes", out_bytes);
                     sp.observe_into("stage.execute_us");
                     obs::count("stage.ingest.executed", 1);
                 }
@@ -369,7 +368,7 @@ impl PipelineDriver {
                         .map(|(origin, text)| (origin, RawInput::Text(text)))
                         .collect(),
                 };
-                let h = fnv128(&encode_to_vec(&artifact));
+                let (h, _) = hash_encoded_vec(&artifact.items);
                 self.hashes.insert(StageId::Ingest, h);
                 self.corpus = Some(Rc::new(artifact));
                 Ok(h)

@@ -49,8 +49,10 @@ pub use graph::{
 /// misses instead of stale hits.
 /// (`/2`: the corpus artifact gained the `RawInput` tag byte.
 /// `/3`: the Validate artifact switched to dictionary-encoded strings.
-/// `/5`: artifacts are partitioned by (year, vendor) with merge stages.)
-pub const CODE_VERSION: &str = "spec-trends/stage-graph/6";
+/// `/5`: artifacts are partitioned by (year, vendor) with merge stages.
+/// `/7`: Theil–Sen is one exact selection, so Figure 6 above 2,048 points
+/// can move by an order statistic.)
+pub const CODE_VERSION: &str = "spec-trends/stage-graph/7";
 
 /// Write rendered `(name, content)` files into `dir` (created if needed)
 /// through `vfs`, returning the written paths in order. Each file lands

@@ -39,7 +39,7 @@ use spec_vfs::Vfs;
 
 use super::artifact::{ComparableArtifact, CorpusArtifact, ValidateArtifact};
 use super::cache::{fnv128, ArtifactCache, Fnv128, Hash128};
-use super::codec::{encode_to_vec, Codec, CodecError, Reader, Writer};
+use super::codec::{encode_to_vec, hash_encoded_vec, Codec, CodecError, Reader, Writer};
 use super::driver::{CorpusSource, StageStats};
 use super::CODE_VERSION;
 use crate::figures::common::{extract_rows, RunRow};
@@ -573,7 +573,7 @@ impl PartitionedDriver {
             map.retain(|key, _| shard.owns(key));
         }
         for part in map.values_mut() {
-            part.hash = fnv128(&encode_to_vec(&part.items));
+            part.hash = hash_encoded_vec(&part.items).0;
         }
         self.split_runs += 1;
         let parts: Vec<(PartKey, Partition)> = map.into_iter().collect();

@@ -19,11 +19,19 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     if n == 1 {
         return Some(sorted[0]);
     }
+    let (lo, hi, frac) = type7_position(n as u64, q);
+    Some(sorted[lo as usize] + (sorted[hi as usize] - sorted[lo as usize]) * frac)
+}
+
+/// Where the type-7 `q`-quantile of `n ≥ 2` sorted values sits: the
+/// 0-based ranks `lo ≤ hi` it interpolates between and the weight `frac`
+/// of `hi`, so the quantile is `s[lo] + (s[hi] − s[lo])·frac`. Shared with
+/// the Theil–Sen slope selection, which finds `s[lo]` and `s[hi]` without
+/// sorting and must interpolate with the same float operations.
+pub(crate) fn type7_position(n: u64, q: f64) -> (u64, u64, f64) {
     let h = q * (n - 1) as f64;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    let frac = h - lo as f64;
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    let lo = h.floor() as u64;
+    (lo, h.ceil() as u64, h - lo as f64)
 }
 
 /// Type-7 quantile of unsorted data (copies and sorts internally).

@@ -5,8 +5,19 @@
 //! years". OLS answers that, but is sensitive to the heavy-tailed spread
 //! the dataset exhibits in recent years; Theil–Sen and Mann–Kendall give
 //! outlier-robust confirmation, and the ablation benches compare the two.
+//!
+//! There is one Theil–Sen algorithm for every input size. It returns the
+//! same bits as sorting all `n(n−1)/2` pairwise slopes and taking their
+//! type-7 median, but stores none of them beyond a fixed window: the points
+//! are sorted and cut into runs of equal x (Figure 6's month grid has ~200
+//! at any corpus scale), each pass counts the slopes against two probes
+//! with a two-pointer merge per pair of runs, and the slopes between the
+//! probes are kept and selected in. Random pairs place the first window;
+//! at ×1 (676 points, ~227k slopes) one pass finishes. Memory is O(n) plus
+//! a 256 KiB window.
 
-use crate::quantile::median;
+use crate::bootstrap::SplitMix64;
+use crate::quantile::{median, type7_position};
 
 /// Theil–Sen estimate: the median of all pairwise slopes, with the
 /// intercept chosen as `median(y) − slope·median(x)`.
@@ -28,25 +39,17 @@ impl TheilSen {
     }
 }
 
-/// Above this many points the estimator switches from materializing all
-/// `n(n−1)/2` pairwise slopes to rank selection by binary search. The
-/// materialized path is kept below the cutoff because its bytes are pinned
-/// by the ×1-corpus golden outputs; at `--scale 100` serve corpora
-/// (~67k comparable rows) the slope vector alone would be ~18 GiB and its
-/// median sort runs for minutes, which is what broke the 512 MiB
-/// out-of-core serve budget.
-const SLOPE_SELECT_CUTOFF: usize = 2048;
-
 /// Fit a Theil–Sen line. Pairs with non-finite coordinates are dropped;
-/// returns `None` with fewer than two distinct-x points.
+/// returns `None` when no pair of points has a finite slope (fewer than
+/// two distinct x, say).
 ///
-/// Up to [`SLOPE_SELECT_CUTOFF`] points this is the textbook O(n²)
-/// median-of-all-pairwise-slopes. Past the cutoff the median is found by
-/// [`median_slope_selected`] in O(n log n) memory-bounded passes; the two
-/// paths agree except for pairs sitting exactly on a floating-point
-/// rounding boundary of the probed slope, where the selected rank can
-/// shift to an adjacent order statistic (≤ 1 ulp-scale difference at
-/// corpus sizes where the cutover applies).
+/// The slope is, bit for bit, `median` of every pairwise slope
+/// `(y_j − y_i)/(x_j − x_i)` over pairs `i < j` with `x_i ≠ x_j` —
+/// slopes that overflow to ±∞ are dropped, as `median` drops them — but
+/// the `n(n−1)/2` slopes are never stored: the two middle ranks are
+/// selected in O(n) memory plus a window of at most 32,768 slopes, for any
+/// `n`. Time is O(r·n) per pass for `r` distinct x values, with one pass
+/// at ×1 and about four at ×100.
 pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Option<TheilSen> {
     let pts: Vec<(f64, f64)> = xs
         .iter()
@@ -57,11 +60,7 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Option<TheilSen> {
     if pts.len() < 2 {
         return None;
     }
-    let slope = if pts.len() <= SLOPE_SELECT_CUTOFF {
-        median(&pairwise_slopes(&pts))?
-    } else {
-        median_slope_selected(&pts)?
-    };
+    let slope = median_slope(&pts)?;
     let mx = median(&pts.iter().map(|p| p.0).collect::<Vec<_>>())?;
     let my = median(&pts.iter().map(|p| p.1).collect::<Vec<_>>())?;
     Some(TheilSen {
@@ -71,24 +70,402 @@ pub fn theil_sen(xs: &[f64], ys: &[f64]) -> Option<TheilSen> {
     })
 }
 
-/// Every defined pairwise slope, in input pair order.
-fn pairwise_slopes(pts: &[(f64, f64)]) -> Vec<f64> {
-    let mut slopes = Vec::with_capacity(pts.len() * (pts.len() - 1) / 2);
-    for i in 0..pts.len() {
-        for j in (i + 1)..pts.len() {
-            let dx = pts[j].0 - pts[i].0;
-            if dx != 0.0 {
-                slopes.push((pts[j].1 - pts[i].1) / dx);
+/// Most slopes one selection pass keeps (256 KiB): a window of the slope
+/// order that fits is collected whole and selected in; a larger one is
+/// thinned to a systematic sample that places the next, narrower window.
+const WINDOW_CAP: usize = 1 << 15;
+
+/// Random pairs drawn to place a window when there is no sample to hand.
+const SAMPLE: usize = 1 << 13;
+
+/// Fewer sampled slopes than this and the next pass bisects instead.
+const MIN_SAMPLE: usize = 64;
+
+/// Median of every finite pairwise slope, equal in bits to
+/// `median(&slopes)` over the naive enumeration.
+///
+/// Slopes are compared by value only, so they are computed over the
+/// (x, y)-sorted points rather than in input order: reversing a pair
+/// negates both differences exactly, which can flip only the sign of a
+/// zero slope. Type-7 interpolation maps ±0 to the same result, so the
+/// order only matters when a single slope exists — and then that slope is
+/// recomputed in input order.
+fn median_slope(pts: &[(f64, f64)]) -> Option<f64> {
+    let runs = XRuns::new(pts);
+    match runs.slope_count() {
+        0 => None,
+        1 => pts.iter().enumerate().find_map(|(i, p)| {
+            pts[i + 1..].iter().find_map(|q| {
+                let dx = q.0 - p.0;
+                let s = (q.1 - p.1) / dx;
+                (dx != 0.0 && s.is_finite()).then_some(s)
+            })
+        }),
+        total => {
+            let (lo, hi, frac) = type7_position(total, 0.5);
+            let [a, b] = select_slopes(&runs, total, [lo, hi], WINDOW_CAP);
+            Some(a + (b - a) * frac)
+        }
+    }
+}
+
+/// Points sorted by (x, y) and cut into runs of equal x. Every slope
+/// between two runs divides by the same `Δx`, so within a pair of runs the
+/// computed slope `(y_q − y_p)/Δx` is monotone — non-decreasing in `y_q`,
+/// non-increasing in `y_p` — because IEEE subtraction and division round
+/// monotonically. Counting a pair of runs against a threshold is then a
+/// two-pointer merge, O(|run a| + |run b|), whatever the number of slopes.
+struct XRuns {
+    pts: Vec<(f64, f64)>,
+    /// Start of each run in `pts`, then `pts.len()`.
+    starts: Vec<usize>,
+    /// Every cross-run slope is finite, proven once from the extremes.
+    all_finite: bool,
+}
+
+impl XRuns {
+    fn new(pts: &[(f64, f64)]) -> Self {
+        let mut pts = pts.to_vec();
+        pts.sort_by(|a, b| a.partial_cmp(b).expect("finite points compare"));
+        let mut starts = vec![0];
+        starts.extend((1..pts.len()).filter(|&i| pts[i].0 != pts[i - 1].0));
+        starts.push(pts.len());
+        // |y_q − y_p| rounds to at most the y span and every Δx to at least
+        // the smallest gap between adjacent runs, so if their quotient is
+        // finite (and no Δx overflows) no slope can overflow.
+        let (y_min, y_max) = pts
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
+                (lo.min(p.1), hi.max(p.1))
+            });
+        let min_gap = starts[1..starts.len() - 1]
+            .iter()
+            .map(|&s| pts[s].0 - pts[s - 1].0)
+            .fold(f64::INFINITY, f64::min);
+        let x_span = pts.last().map_or(0.0, |last| last.0 - pts[0].0);
+        let all_finite = x_span.is_finite() && ((y_max - y_min) / min_gap).is_finite();
+        XRuns {
+            pts,
+            starts,
+            all_finite,
+        }
+    }
+
+    fn run(&self, r: usize) -> &[(f64, f64)] {
+        &self.pts[self.starts[r]..self.starts[r + 1]]
+    }
+
+    /// How many finite pairwise slopes there are.
+    fn slope_count(&self) -> u64 {
+        if self.all_finite {
+            let n = self.pts.len() as u64;
+            let same_x: u64 = self
+                .starts
+                .windows(2)
+                .map(|w| ((w[1] - w[0]) as u64).pow(2))
+                .sum();
+            (n * n - same_x) / 2
+        } else {
+            self.tally(
+                f64::MAX,
+                f64::MAX,
+                false,
+                &mut Keep::new(&mut Vec::new(), 0),
+            )
+            .le
+        }
+    }
+
+    /// One pass over every finite slope `s`, counting `s < t1` and
+    /// `s ≤ t2` (`t1 ≤ t2`), offering the slopes inside `[t1, t2]` to
+    /// `keep` and, with `edges`, noting the nearest slopes outside it.
+    fn tally(&self, t1: f64, t2: f64, edges: bool, keep: &mut Keep) -> Tally {
+        let (mut lt, mut le) = (0, 0);
+        let (mut max_lt, mut min_gt) = (f64::NEG_INFINITY, f64::INFINITY);
+        let m = self.starts.len() - 1;
+        for a in 0..m {
+            let ra = self.run(a);
+            for b in a + 1..m {
+                let rb = self.run(b);
+                let dx = rb[0].0 - ra[0].0;
+                let slope = |p: f64, q: f64| (q - p) / dx;
+                let (top, bottom) = (rb.len() - 1, ra.len() - 1);
+                if self.all_finite
+                    || (slope(ra[bottom].1, rb[0].1).is_finite()
+                        && slope(ra[0].1, rb[top].1).is_finite())
+                {
+                    // y_p ascends, so each p's slopes fall and both
+                    // boundaries only move right.
+                    let (mut i1, mut i2) = (0, 0);
+                    for &(_, yp) in ra {
+                        let s = |q: usize| slope(yp, rb[q].1);
+                        while i1 < rb.len() && s(i1) < t1 {
+                            i1 += 1;
+                        }
+                        i2 = i2.max(i1);
+                        while i2 < rb.len() && s(i2) <= t2 {
+                            i2 += 1;
+                        }
+                        lt += i1 as u64;
+                        le += i2 as u64;
+                        if edges && i1 > 0 {
+                            max_lt = max_lt.max(s(i1 - 1));
+                        }
+                        if edges && i2 < rb.len() {
+                            min_gt = min_gt.min(s(i2));
+                        }
+                        keep.offer(i2 - i1, |k| s(i1 + k));
+                    }
+                } else {
+                    // Some slope here overflows: skip those one by one.
+                    for &(_, yp) in ra {
+                        for &(_, yq) in rb {
+                            let s = slope(yp, yq);
+                            if !s.is_finite() {
+                                continue;
+                            }
+                            if s < t1 {
+                                lt += 1;
+                                max_lt = max_lt.max(s);
+                            }
+                            if s > t2 {
+                                min_gt = min_gt.min(s);
+                            } else {
+                                le += 1;
+                                if s >= t1 {
+                                    keep.offer(1, |_| s);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Tally {
+            lt,
+            le,
+            edges: edges.then_some((max_lt, min_gt)),
+        }
+    }
+
+    /// Refill `buf` with up to `want` finite slopes inside `win`, drawn
+    /// uniformly by rejection from random point pairs.
+    fn sample(&self, win: &Window, buf: &mut Vec<f64>, want: usize, rng: &mut SplitMix64) {
+        buf.clear();
+        let n = self.pts.len();
+        for _ in 0..16 * want {
+            if buf.len() == want {
+                break;
+            }
+            let (i, j) = (rng.index(n), rng.index(n));
+            let (p, q) = (self.pts[i.min(j)], self.pts[i.max(j)]);
+            let s = (q.1 - p.1) / (q.0 - p.0);
+            if p.0 != q.0 && s.is_finite() && win.lo <= s && s <= win.hi {
+                buf.push(s);
             }
         }
     }
-    slopes
+}
+
+/// What one [`XRuns::tally`] pass saw of the slopes.
+struct Tally {
+    /// Slopes `< t1`.
+    lt: u64,
+    /// Slopes `≤ t2`.
+    le: u64,
+    /// If asked for: the largest slope `< t1` (rank `lt − 1`) and the
+    /// smallest `> t2` (rank `le`).
+    edges: Option<(f64, f64)>,
+}
+
+/// The stretch `[lo, hi]` of slope values known to hold every rank still
+/// sought: `below` slopes are `< lo` and `upto` are `≤ hi`.
+struct Window {
+    lo: f64,
+    hi: f64,
+    below: u64,
+    upto: u64,
+}
+
+/// Collects the slopes a pass offers into a buffer of fixed capacity:
+/// all of them while they fit, and from then on a systematic sample —
+/// every 2nd, 4th, … in offer order, halving the buffer each time it fills.
+struct Keep<'a> {
+    buf: &'a mut Vec<f64>,
+    cap: usize,
+    stride: u64,
+    seen: u64,
+}
+
+impl<'a> Keep<'a> {
+    fn new(buf: &'a mut Vec<f64>, cap: usize) -> Self {
+        buf.clear();
+        Keep {
+            buf,
+            cap,
+            stride: 1,
+            seen: 0,
+        }
+    }
+
+    /// Offer `len` slopes; `slope(k)` computes the `k`-th. Only the ones
+    /// that land on the sampling stride are computed.
+    fn offer(&mut self, len: usize, slope: impl Fn(usize) -> f64) {
+        let end = self.seen + len as u64;
+        if self.cap == 0 {
+            self.seen = end;
+            return;
+        }
+        let mut k = self.seen.next_multiple_of(self.stride);
+        while k < end {
+            if self.buf.len() == self.cap {
+                let kept = self.buf.len().div_ceil(2);
+                for i in 0..kept {
+                    self.buf[i] = self.buf[2 * i];
+                }
+                self.buf.truncate(kept);
+                self.stride *= 2;
+                k = k.next_multiple_of(self.stride);
+                continue;
+            }
+            self.buf.push(slope((k - self.seen) as usize));
+            k += self.stride;
+        }
+        self.seen = end;
+    }
+
+    /// The buffer holds every offered slope, not a sample.
+    fn complete(&self) -> bool {
+        self.stride == 1
+    }
+}
+
+/// The slopes at 0-based ranks `ranks` (adjacent or equal) of the sorted
+/// finite slopes, `total` of them, without sorting or storing them all.
+///
+/// Each pass tallies the slopes against two probes `t1 ≤ t2` and keeps
+/// the ones in `[t1, t2]`. A rank `r` is then resolved exactly when
+/// - `r = lt − 1` or `r = le` on a bisection pass (`t1 = t2`), which notes
+///   the nearest slope on each side;
+/// - `lt ≤ r < le` and either `t1 = t2` or every slope in between was
+///   kept: a `select_nth` over the kept window.
+///
+/// Otherwise the window narrows to the probes (or past them), and the next
+/// probes come from a sample of the new window, placed a few standard
+/// errors wide around the sought ranks: the kept systematic sample when
+/// the window is exactly `[t1, t2]`, fresh random pairs when not. At ×1
+/// (~227k slopes) one pass resolves both ranks. A window that fits in
+/// `cap` slopes is collected whole; a pass that fails to narrow the window
+/// is followed by a bisection of the `f64` order, which always narrows it,
+/// so the loop ends.
+fn select_slopes(runs: &XRuns, total: u64, ranks: [u64; 2], cap: usize) -> [f64; 2] {
+    assert!(cap > 0, "selection needs room for one slope");
+    let mut found = [None; 2];
+    let mut win = Window {
+        lo: -f64::MAX,
+        hi: f64::MAX,
+        below: 0,
+        upto: total,
+    };
+    let mut rng = SplitMix64::new(0x7e11_5e17);
+    let want = SAMPLE.min(cap);
+    let mut buf = Vec::with_capacity(cap.min(total as usize));
+    if total > cap as u64 {
+        runs.sample(&win, &mut buf, want, &mut rng);
+    }
+    loop {
+        let (ra, rb) = open_span(&ranks, &found);
+        let inside = win.upto - win.below;
+        let (t1, t2) = if inside <= cap as u64 {
+            (win.lo, win.hi)
+        } else if buf.len() >= MIN_SAMPLE {
+            buf.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite slopes compare"));
+            let s = buf.len() as f64;
+            let margin = 2.0 * s.sqrt() + 1.0;
+            let pos = |r: u64| (r - win.below) as f64 / inside as f64 * s;
+            let (p1, p2) = (pos(ra) - margin, pos(rb + 1) + margin);
+            (
+                if p1 < 0.0 { win.lo } else { buf[p1 as usize] },
+                if p2 >= s { win.hi } else { buf[p2 as usize] },
+            )
+        } else {
+            let (a, b) = (slope_key(win.lo), slope_key(win.hi));
+            let mid = key_slope(a + (b - a) / 2);
+            (mid, mid)
+        };
+        let mut keep = Keep::new(&mut buf, cap);
+        // Only a bisection asks for the edges: its probe may land between
+        // the two middle slopes, and the edges then resolve both at once.
+        let t = runs.tally(t1, t2, t1 == t2, &mut keep);
+        let complete = keep.complete();
+        for (&r, f) in ranks.iter().zip(found.iter_mut()) {
+            if f.is_some() {
+                continue;
+            }
+            let between = (t.lt..t.le).contains(&r);
+            *f = match t.edges {
+                Some((below, _)) if r + 1 == t.lt => Some(below),
+                Some((_, above)) if r == t.le => Some(above),
+                _ if between && t1 == t2 => Some(t1),
+                _ if between && complete => {
+                    let k = (r - t.lt) as usize;
+                    Some(
+                        *buf.select_nth_unstable_by(k, |a, b| a.partial_cmp(b).expect("finite"))
+                            .1,
+                    )
+                }
+                _ => None,
+            };
+        }
+        if let [Some(a), Some(b)] = found {
+            return [a, b];
+        }
+        let (ra, rb) = open_span(&ranks, &found);
+        let mut kept_is_window = false;
+        if rb < t.lt {
+            win.hi = -next_up(-t1);
+            win.upto = t.lt;
+        } else if ra >= t.le {
+            win.lo = next_up(t2);
+            win.below = t.le;
+        } else {
+            if t.lt <= ra {
+                win.lo = t1;
+                win.below = t.lt;
+            }
+            if rb < t.le {
+                win.hi = t2;
+                win.upto = t.le;
+            }
+            kept_is_window = t.lt <= ra && rb < t.le;
+        }
+        if win.upto - win.below == inside {
+            buf.clear();
+        } else if !kept_is_window {
+            runs.sample(&win, &mut buf, want, &mut rng);
+        }
+    }
+}
+
+/// The lowest and highest rank not yet found.
+fn open_span(ranks: &[u64; 2], found: &[Option<f64>; 2]) -> (u64, u64) {
+    let mut open = ranks
+        .iter()
+        .zip(found)
+        .filter(|(_, f)| f.is_none())
+        .map(|(r, _)| *r);
+    let first = open.next().expect("a rank is open");
+    (first, open.next().unwrap_or(first))
+}
+
+/// The least `f64` above `x` (both zeros count as one value).
+fn next_up(x: f64) -> f64 {
+    key_slope(slope_key(x + 0.0) + 1)
 }
 
 /// Map a finite `f64` onto a `u64` whose unsigned order equals the numeric
-/// order (the usual sign-flip trick), and back. The slope binary search
-/// walks this key space so it can halve intervals without a lattice of
-/// representable floats to enumerate.
+/// order (the usual sign-flip trick), and back, so a bisection can halve
+/// any interval of floats.
 fn slope_key(f: f64) -> u64 {
     let b = f.to_bits();
     if b >> 63 == 1 {
@@ -104,140 +481,6 @@ fn key_slope(k: u64) -> f64 {
     } else {
         f64::from_bits(!k)
     }
-}
-
-/// Median pairwise slope without materializing the slope multiset:
-/// binary-search the answer over the `f64` key space, counting at each
-/// probe `t` how many pairwise slopes are ≤ `t` via an O(n log n)
-/// inversion count (slope(i,j) ≤ t ⟺ `y − t·x` order inverts between the
-/// two points once they are sorted by x). Peak memory is three `Vec`s of
-/// `n` elements, regardless of how many of the `n(n−1)/2` pairs exist.
-///
-/// Divergence from the materialized path: slopes that overflow to ±∞ are
-/// ranked as extreme values here (the probe transform cannot drop them),
-/// whereas [`median`]'s `sorted_finite` discards them. Overflow needs
-/// |Δy/Δx| > `f64::MAX`, which physical (year, metric) series never hit.
-fn median_slope_selected(pts: &[(f64, f64)]) -> Option<f64> {
-    let mut pts = pts.to_vec();
-    pts.sort_by(|a, b| a.partial_cmp(b).expect("finite points compare"));
-    let n = pts.len() as u64;
-    // Pairs with equal x have no slope; among them, pairs with equal y
-    // also sit on the z-order boundary at every probe (z_i == z_j), so
-    // the inversion count includes them and they must be subtracted.
-    let mut equal_x_pairs = 0u64;
-    let mut dup_xy_pairs = 0u64;
-    let mut i = 0;
-    while i < pts.len() {
-        let mut j = i;
-        while j + 1 < pts.len() && pts[j + 1].0 == pts[i].0 {
-            j += 1;
-        }
-        let g = (j - i + 1) as u64;
-        equal_x_pairs += g * (g - 1) / 2;
-        let mut a = i;
-        while a <= j {
-            let mut b = a;
-            while b < j && pts[b + 1].1 == pts[a].1 {
-                b += 1;
-            }
-            let m = (b - a + 1) as u64;
-            dup_xy_pairs += m * (m - 1) / 2;
-            a = b + 1;
-        }
-        i = j + 1;
-    }
-    let total = n * (n - 1) / 2 - equal_x_pairs;
-    if total == 0 {
-        return None;
-    }
-    // Type-7 median over `total` sorted slopes, mirroring `median`:
-    // s[lo] + (s[hi] − s[lo])·frac at h = 0.5·(total − 1).
-    let h = 0.5 * (total - 1) as f64;
-    let lo_rank = h.floor() as u64 + 1;
-    let hi_rank = h.ceil() as u64 + 1;
-    let frac = h - h.floor();
-    let mut z = vec![0.0; pts.len()];
-    let mut buf = vec![0.0; pts.len()];
-    let s_lo = kth_smallest_slope(&pts, lo_rank, dup_xy_pairs, &mut z, &mut buf);
-    let s_hi = if hi_rank == lo_rank {
-        s_lo
-    } else {
-        kth_smallest_slope(&pts, hi_rank, dup_xy_pairs, &mut z, &mut buf)
-    };
-    Some(s_lo + (s_hi - s_lo) * frac)
-}
-
-/// The `k`-th smallest (1-based) pairwise slope of x-sorted points:
-/// smallest probe value `t` with at least `k` slopes ≤ `t`.
-fn kth_smallest_slope(
-    pts: &[(f64, f64)],
-    k: u64,
-    dup_xy_pairs: u64,
-    z: &mut [f64],
-    buf: &mut [f64],
-) -> f64 {
-    let mut lo = slope_key(-f64::MAX);
-    let mut hi = slope_key(f64::MAX);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if slopes_at_most(pts, key_slope(mid), dup_xy_pairs, z, buf) >= k {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    key_slope(lo)
-}
-
-/// How many pairwise slopes are ≤ `t`. For x-sorted points, slope(i,j) ≤ t
-/// ⟺ z_j ≤ z_i under z = y − t·x, so this is one inversion count, minus
-/// the equal-(x, y) pairs the boundary always includes.
-fn slopes_at_most(
-    pts: &[(f64, f64)],
-    t: f64,
-    dup_xy_pairs: u64,
-    z: &mut [f64],
-    buf: &mut [f64],
-) -> u64 {
-    for (zi, &(x, y)) in z.iter_mut().zip(pts) {
-        *zi = y - t * x;
-    }
-    le_inversions(z, buf) - dup_xy_pairs
-}
-
-/// Count pairs `i < j` with `z[j] ≤ z[i]` by bottom-up merge sort
-/// (sorts `z` in place; `buf` is merge scratch of the same length).
-fn le_inversions(z: &mut [f64], buf: &mut [f64]) -> u64 {
-    let n = z.len();
-    let mut count = 0u64;
-    let mut width = 1;
-    while width < n {
-        let mut start = 0;
-        while start + width < n {
-            let mid = start + width;
-            let end = (start + 2 * width).min(n);
-            let (mut i, mut j, mut k) = (start, mid, start);
-            while i < mid && j < end {
-                if z[i] < z[j] {
-                    buf[k] = z[i];
-                    i += 1;
-                } else {
-                    // z[j] ≤ every remaining left element (left is sorted).
-                    count += (mid - i) as u64;
-                    buf[k] = z[j];
-                    j += 1;
-                }
-                k += 1;
-            }
-            buf[k..k + (mid - i)].copy_from_slice(&z[i..mid]);
-            let k = k + (mid - i);
-            buf[k..end].copy_from_slice(&z[j..end]);
-            z[start..end].copy_from_slice(&buf[start..end]);
-            start += 2 * width;
-        }
-        width *= 2;
-    }
-    count
 }
 
 /// Result of a Mann–Kendall trend test.
@@ -374,14 +617,48 @@ mod tests {
         assert!(theil_sen(&[2.0, 2.0], &[1.0, 5.0]).is_none());
     }
 
-    /// The materialized reference the selection path must agree with.
+    /// The textbook estimator the selection reproduces bit for bit: every
+    /// defined slope in input pair order, then `median`.
     fn naive_median_slope(pts: &[(f64, f64)]) -> Option<f64> {
-        median(&pairwise_slopes(pts))
+        let mut slopes = Vec::with_capacity(pts.len() * pts.len().saturating_sub(1) / 2);
+        for i in 0..pts.len() {
+            for j in (i + 1)..pts.len() {
+                let dx = pts[j].0 - pts[i].0;
+                if dx != 0.0 {
+                    slopes.push((pts[j].1 - pts[i].1) / dx);
+                }
+            }
+        }
+        median(&slopes)
+    }
+
+    /// `median_slope` equals the naive median in bits; on small inputs so
+    /// does `select_slopes` at window caps small enough to force the
+    /// thinned-sample, resampling and bisection paths.
+    fn assert_bit_identical(pts: &[(f64, f64)], what: &str) {
+        let naive = naive_median_slope(pts).map(f64::to_bits);
+        assert_eq!(median_slope(pts).map(f64::to_bits), naive, "{what}");
+        let runs = XRuns::new(pts);
+        let total = runs.slope_count();
+        if total < 2 || pts.len() > 300 {
+            return;
+        }
+        let (lo, hi, frac) = type7_position(total, 0.5);
+        for cap in [1, 2, 7, 64, 1000] {
+            let [a, b] = select_slopes(&runs, total, [lo, hi], cap);
+            assert_eq!(
+                Some((a + (b - a) * frac).to_bits()),
+                naive,
+                "{what}, cap {cap}"
+            );
+        }
     }
 
     /// Deterministic LCG points: no RNG dependency, reproducible shapes.
     fn lcg_points(n: usize, seed: u64, x_levels: u64, dup_every: usize) -> Vec<(f64, f64)> {
-        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
+        let mut state = seed
+            .wrapping_mul(2862933555777941757)
+            .wrapping_add(3037000493);
         let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
@@ -403,11 +680,138 @@ mod tests {
         pts
     }
 
+    /// Figure 6's shape: x on a month grid (`year + month/12`, so runs of
+    /// equal x) and a slowly rising quotient with a heavy upper tail.
+    fn month_grid(n: usize, seed: u64) -> Vec<(f64, f64)> {
+        let mut rng = SplitMix64::new(seed);
+        (0..n)
+            .map(|_| {
+                let x = 2007.0 + rng.index(17 * 12) as f64 / 12.0;
+                let tail = if rng.index(10) == 0 { 0.5 } else { 0.02 };
+                (x, 1.0 + 0.01 * (x - 2007.0) + tail * rng.f64())
+            })
+            .collect()
+    }
+
+    /// The 676 (frac_year, extrapolated quotient) points of the committed
+    /// Figure 6 CSV, the ×1 corpus's Theil–Sen input.
+    fn fig6_points() -> Vec<(f64, f64)> {
+        include_str!("../../../data/fig6_extrapolated_quotient.csv")
+            .lines()
+            .skip(1)
+            .map(|l| {
+                let f: Vec<&str> = l.split(',').collect();
+                (f[1].parse().expect("x"), f[2].parse().expect("y"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn selection_is_bit_identical_to_the_naive_median() {
+        let fig6 = fig6_points();
+        assert_eq!(fig6.len(), 676);
+        assert_bit_identical(&fig6, "fig6 month grid");
+        assert_eq!(median_slope(&fig6), Some(0.04188285606558996));
+        for (n, seed) in [(2, 1), (3, 2), (40, 3), (250, 4), (1_500, 5)] {
+            assert_bit_identical(&month_grid(n, seed), &format!("month grid n={n}"));
+        }
+        // Equal y on both sides of each Δx sign: every slope is ±0, and a
+        // lone slope keeps the sign its input order gives it.
+        let flat: Vec<(f64, f64)> = (0..60).map(|i| (((i * 37) % 60) as f64, 3.0)).collect();
+        assert_bit_identical(&flat, "flat y");
+        let signed_zeros: Vec<(f64, f64)> = (0..30)
+            .map(|i| ((i % 7) as f64, if i % 2 == 0 { 0.0 } else { -0.0 }))
+            .collect();
+        assert_bit_identical(&signed_zeros, "±0 y");
+        assert_eq!(
+            median_slope(&[(1.0, 5.0), (0.0, 5.0)]).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_bit_identical(&[(1.0, 5.0), (0.0, 5.0)], "one slope, Δx < 0");
+        assert_bit_identical(&[(0.0, 5.0), (1.0, 5.0)], "one slope, Δx > 0");
+        assert_bit_identical(&[(1.0, -0.0), (0.0, 0.0), (1.0, -0.0)], "two zero slopes");
+        assert_bit_identical(
+            &[(2.0, 1.0), (2.0, 5.0), (3.0, 1.0), (3.0, 9.0)],
+            "two x runs",
+        );
+        // Near-boundary: a rounded line (slopes within ulps of each other)
+        // and an integer grid (large exact ties).
+        let line: Vec<(f64, f64)> = (0..400)
+            .map(|i| (2007.0 + i as f64 / 12.0, 0.1 * (i as f64 / 12.0)))
+            .collect();
+        assert_bit_identical(&line, "rounded line");
+        let grid: Vec<(f64, f64)> = (0..300)
+            .map(|i| ((i % 17) as f64, ((i * 7) % 5) as f64))
+            .collect();
+        assert_bit_identical(&grid, "integer grid");
+        // Overflow: huge Δy over tiny Δx, and Δx itself overflowing (its
+        // slopes are ±0 or NaN).
+        let mut wild = month_grid(60, 6);
+        wild.extend([
+            (1e-300, 1e308),
+            (2e-300, -1e308),
+            (3e-300, 1e308),
+            (-1e308, 1.0),
+            (1e308, 2.0),
+        ]);
+        assert_bit_identical(&wild, "overflowing slopes");
+        assert_bit_identical(&[(1e-300, 1e308), (2e-300, -1e308)], "only slope overflows");
+        assert_bit_identical(
+            &[(-1e308, f64::MAX), (1e308, -f64::MAX), (0.0, 0.0)],
+            "Δx overflows",
+        );
+    }
+
+    #[test]
+    fn selection_matches_naive_on_hostile_values() {
+        // Random small inputs over signed zeros, subnormals, huge and
+        // overflow-prone values, small integers (ties) and plain noise.
+        const POOL: [f64; 16] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            0.3,
+            2.0,
+            1e-300,
+            -1e-300,
+            5e-324,
+            1e300,
+            -1e300,
+            1e308,
+            -1e308,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let mut rng = SplitMix64::new(42);
+        let value = |rng: &mut SplitMix64| match rng.index(3) {
+            0 => POOL[rng.index(POOL.len())],
+            1 => rng.index(8) as f64 - 4.0,
+            _ => (rng.f64() - 0.5) * 20.0,
+        };
+        for case in 0..400 {
+            let n = rng.index(40);
+            let pts: Vec<(f64, f64)> = (0..n).map(|_| (value(&mut rng), value(&mut rng))).collect();
+            assert_bit_identical(&pts, &format!("case {case}: {pts:?}"));
+        }
+    }
+
+    #[test]
+    #[ignore = "n ≈ 5,000 naive reference; run with --release"]
+    fn selection_is_bit_identical_at_five_thousand_points() {
+        assert_bit_identical(&month_grid(5_000, 11), "month grid n=5000");
+        assert_bit_identical(&lcg_points(4_999, 12, 1 << 40, 0), "distinct x n=4999");
+        assert_bit_identical(&lcg_points(5_000, 13, 9, 5), "9 x levels, duplicates");
+        let fig6 = fig6_points();
+        let fig6_x7: Vec<(f64, f64)> = (0..7).flat_map(|_| fig6.iter().copied()).collect();
+        assert_bit_identical(&fig6_x7, "Figure 6 points replicated ×7");
+    }
+
     #[test]
     fn slope_selection_matches_naive_median() {
-        // Sizes straddle nothing here (all small enough to materialize);
-        // the point is exact agreement across tie-heavy shapes: few
-        // distinct x levels, duplicated (x, y) points, and plain noise.
+        // Tie-heavy shapes: few distinct x levels, duplicated (x, y)
+        // points, and plain noise — equal in bits, not just close.
         for (n, seed, levels, dup) in [
             (2usize, 7u64, 4u64, 0usize),
             (3, 11, 2, 0),
@@ -416,19 +820,10 @@ mod tests {
             (128, 3, 1000, 2),
             (331, 4, 8, 4),
         ] {
-            let pts = lcg_points(n, seed, levels, dup);
-            let naive = naive_median_slope(&pts);
-            let selected = median_slope_selected(&pts);
-            match (naive, selected) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert!(
-                        (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                        "n={n} seed={seed}: naive {a} vs selected {b}"
-                    );
-                }
-                other => panic!("n={n} seed={seed}: disagree on Some/None: {other:?}"),
-            }
+            assert_bit_identical(
+                &lcg_points(n, seed, levels, dup),
+                &format!("n={n} seed={seed}"),
+            );
         }
     }
 
@@ -441,31 +836,27 @@ mod tests {
         for _ in 0..8 {
             replicated.extend(base.iter().copied());
         }
-        let naive = naive_median_slope(&replicated).unwrap();
-        let selected = median_slope_selected(&replicated).unwrap();
-        assert!(
-            (naive - selected).abs() <= 1e-9 * naive.abs().max(1.0),
-            "naive {naive} vs selected {selected}"
-        );
+        assert!(naive_median_slope(&replicated).is_some());
+        assert_bit_identical(&replicated, "replicated ×8");
     }
 
     #[test]
     fn slope_selection_exact_on_exact_line() {
         let pts: Vec<(f64, f64)> = (0..500).map(|i| (i as f64, 1.5 * i as f64 - 4.0)).collect();
-        assert_eq!(median_slope_selected(&pts), Some(1.5));
+        assert_eq!(median_slope(&pts), Some(1.5));
     }
 
     #[test]
     fn slope_selection_degenerate_all_same_x() {
-        assert_eq!(median_slope_selected(&[(2.0, 1.0), (2.0, 5.0), (2.0, 9.0)]), None);
+        assert_eq!(median_slope(&[(2.0, 1.0), (2.0, 5.0), (2.0, 9.0)]), None);
+        assert_bit_identical(&[(2.0, 1.0), (2.0, 5.0), (2.0, 9.0)], "all same x");
     }
 
     #[test]
     fn theil_sen_large_input_is_bounded_and_sane() {
-        // Past SLOPE_SELECT_CUTOFF the selection path engages; the fit
-        // must still recover the generating slope on noisy data without
-        // materializing ~2.4M slopes (cutoff + 1 squares to that).
-        let pts = lcg_points(SLOPE_SELECT_CUTOFF + 100, 5, 40, 0);
+        // 2,148 points, ~2.3M slopes: the window selection must still
+        // recover the generating slope on noisy data.
+        let pts = lcg_points(2_148, 5, 40, 0);
         let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
         let fit = theil_sen(&xs, &ys).unwrap();
@@ -474,13 +865,23 @@ mod tests {
     }
 
     #[test]
-    fn le_inversions_counts_non_strict_pairs() {
-        let mut z = [3.0, 1.0, 2.0, 2.0];
-        let mut buf = [0.0; 4];
-        // Pairs (i<j) with z[j] <= z[i]: (3,1) (3,2) (3,2) (1,...)? —
-        // (0,1) (0,2) (0,3) (2,3 equal) = 4.
-        assert_eq!(le_inversions(&mut z, &mut buf), 4);
-        assert_eq!(z, [1.0, 2.0, 2.0, 3.0]);
+    fn keep_thins_to_a_systematic_sample() {
+        let mut buf = Vec::new();
+        let mut keep = Keep::new(&mut buf, 4);
+        keep.offer(3, |k| k as f64);
+        keep.offer(6, |k| (3 + k) as f64);
+        assert!(!keep.complete());
+        assert_eq!(keep.stride, 4);
+        assert_eq!(buf, [0.0, 4.0, 8.0]);
+    }
+
+    #[test]
+    fn next_up_steps_over_negative_zero() {
+        assert_eq!(next_up(0.0), 5e-324);
+        assert_eq!(next_up(-0.0), 5e-324);
+        assert_eq!(-next_up(-0.0), -5e-324);
+        assert_eq!(next_up(1.0), 1.0 + f64::EPSILON);
+        assert_eq!(next_up(-5e-324), 0.0);
     }
 
     #[test]
